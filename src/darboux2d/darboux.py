@@ -35,7 +35,7 @@ class TransformOutput:
     ``W_tilde`` and ``Q_tilde`` are the two components of the matrix operator
     applied to the seed; ``Y_tilde = W_tilde / B`` is the transformed
     Schrodinger solution.  ``W_tilde == B * Y_tilde`` holds as an exact
-    identity (asserted at construction time by `transform_solution`).
+    identity (checked at construction time by `transform_solution`).
     """
 
     Y_tilde: RatFn
@@ -113,7 +113,8 @@ def transform_solution(B: RatFn, seed: HarmonicPair) -> TransformOutput:
     Qp = RatFn.from_poly(seed.Q)
     Y_tilde = R1 * Yp - Yp.diff("y") + R2 * Qp
     W_tilde, Q_tilde = _apply_LD_with(B, R1, R2, (Yp, Qp))
-    assert (W_tilde - B * Y_tilde).is_zero(), "W~ = B Y~ must hold identically"
+    if not (W_tilde - B * Y_tilde).is_zero():
+        raise ArithmeticError("W~ = B Y~ must hold identically")
     return TransformOutput(Y_tilde=Y_tilde, W_tilde=W_tilde, Q_tilde=Q_tilde)
 
 

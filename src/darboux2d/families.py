@@ -12,8 +12,9 @@ matching the two Moutard-derived potentials of Taimanov and Tsarev ship as
 named presets.
 
 Builders construct numerators through the Laplace-constrained machinery and
-then assert exact agreement with the explicit formulas where the latter
-exist -- double-entry bookkeeping against transcription slips.
+then check exact agreement with the explicit formulas where the latter
+exist -- double-entry bookkeeping against transcription slips.  A mismatch
+raises :class:`ArithmeticError`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ def _require_nonzero_weight(p: Fraction, q: Fraction) -> None:
         raise ValueError("weight vector (p, q) must be nonzero")
 
 
+def _require_harmonic(N: BiPoly) -> None:
+    if not laplacian_poly(N).is_zero():
+        raise ArithmeticError("pole-sum numerator is not harmonic")
+
+
 def _den_from(M: BiPoly, C: Fraction) -> BiPoly:
     return M + BiPoly.const(C)
 
@@ -123,7 +129,8 @@ def build_B0(p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, C: Scalar) -> Ratio
     config = PoleConfig(poles=((x0, y0),), weights=((p0, q0),), C=C)
     N, M = pole_sum(config)
     explicit = p0 * (X - x0) + q0 * (Y - y0)
-    assert N == explicit, "one-pole numerator disagrees with the explicit linear form"
+    if N != explicit:
+        raise ArithmeticError("one-pole numerator disagrees with the explicit linear form")
     return RationalSolution(B=RatFn(N, _den_from(M, C)), config=config, family_tag="B0")
 
 
@@ -174,8 +181,9 @@ def build_B1(
         + (2 * p0 * w - q0 * s) * Y
         - BiPoly.const(p0 * (x0 * r1 - x1 * r0) + q0 * (y0 * r1 - y1 * r0))
     )
-    assert N == explicit, "two-pole numerator disagrees with its closed form"
-    assert laplacian_poly(N).is_zero()
+    if N != explicit:
+        raise ArithmeticError("two-pole numerator disagrees with its closed form")
+    _require_harmonic(N)
     return RationalSolution(B=RatFn(N, _den_from(M, C)), config=config, family_tag="B1")
 
 
@@ -211,7 +219,7 @@ def build_B2(
     weights = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(3))
     config = PoleConfig(poles=poles, weights=weights, C=C)
     N, M = pole_sum(config)
-    assert laplacian_poly(N).is_zero()
+    _require_harmonic(N)
     return RationalSolution(B=RatFn(N, _den_from(M, C)), config=config, family_tag="B2")
 
 
@@ -279,8 +287,9 @@ def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> Ratio
         + (m3 * q1 - m4 * p1) * (X * (X**2 - 3 * Y**2))
         + (m4 * q1 + m3 * p1) * (Y * (Y**2 - 3 * X**2))
     )
-    assert H == explicit, "confluent numerator disagrees with its closed form"
-    assert laplacian_poly(H).is_zero()
+    if H != explicit:
+        raise ArithmeticError("confluent numerator disagrees with its closed form")
+    _require_harmonic(H)
 
     origin = (Fraction(0), Fraction(0))
     config = PoleConfig(

@@ -231,7 +231,8 @@ def _nullspace(rows: list[list[Fraction]], n_cols: int) -> list[tuple[Fraction, 
             factor = mat[r][col]
             for c in range(n_cols):
                 q, rem = divmod(mat[r][c] * pivot - factor * mat[rank][c], prev_pivot)
-                assert rem == 0, "fraction-free update must divide exactly"
+                if rem != 0:
+                    raise ArithmeticError("fraction-free update must divide exactly")
                 mat[r][c] = q
         prev_pivot = pivot
         pivot_cols.append(col)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from darboux2d import families
 from darboux2d.darboux import potential_from_B
 from darboux2d.families import (
     DEFAULT_PARAMS,
@@ -156,3 +157,24 @@ def test_tsarev2_rationalization_tracks_surds():
     t = math.sqrt(788 + math.sqrt(1252969))
     assert floats["x1"] == pytest.approx(-1 / 80 - t / 80)
     assert floats["y2"] == pytest.approx((159 + t) / (16 * t))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: build_B0(1, 0, 0, 0, 1), "one-pole numerator"),
+        (lambda: build_family("B1", DEFAULT_PARAMS["B1"]), "two-pole numerator"),
+        (lambda: build_family("B2", DEFAULT_PARAMS["B2"]), "not harmonic"),
+    ],
+)
+def test_builder_guards_raise_on_bad_numerator(monkeypatch, build, message):
+    # explicit raises, not asserts, so the checks also run under -O
+    real = families.pole_sum
+
+    def skewed(config):
+        N, M = real(config)
+        return N + X * X, M
+
+    monkeypatch.setattr(families, "pole_sum", skewed)
+    with pytest.raises(ArithmeticError, match=message):
+        build()

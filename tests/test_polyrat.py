@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darboux2d import polyrat
 from darboux2d.polyrat import (
     ONE,
     X,
@@ -17,6 +18,9 @@ from darboux2d.polyrat import (
     PoleEvaluationError,
     PowerRat,
     RatFn,
+    _kronecker_pays,
+    _mul_kronecker,
+    _mul_schoolbook,
     as_fraction,
     laplacian_poly,
     laplacian_ratfn,
@@ -236,3 +240,141 @@ def test_text_round_trip_property(p):
 def test_eval_is_a_homomorphism(p, a, b):
     q = p * p - 3 * p
     assert q.eval(a, b) == p.eval(a, b) ** 2 - 3 * p.eval(a, b)
+
+
+# -- Kronecker-substitution multiply ----------------------------------------
+#
+# `_mul_schoolbook` (one dict update per pair of terms) is the oracle: the
+# Kronecker path must return the same keys, values and key order, including
+# keys whose coefficients cancel to zero.
+
+_small_ints = st.integers(min_value=-9, max_value=9).filter(bool)
+_huge_ints = st.builds(
+    lambda magnitude, sign: sign * magnitude,
+    st.integers(min_value=2**500, max_value=2**700),
+    st.sampled_from([1, -1]),
+)
+
+
+@st.composite
+def int_terms(draw, max_exp=12, max_terms=80):
+    """Integer term lists: one-term, sparse, or dense up to a total degree."""
+    coeff = draw(st.sampled_from([_small_ints, _huge_ints, st.integers().filter(bool)]))
+    shape = draw(st.sampled_from(["one", "sparse", "dense"]))
+    if shape == "one":
+        keys = [(draw(st.integers(0, max_exp)), draw(st.integers(0, max_exp)))]
+    elif shape == "sparse":
+        keys = draw(
+            st.lists(
+                st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
+                min_size=1,
+                max_size=max_terms,
+                unique=True,
+            )
+        )
+    else:
+        d = draw(st.integers(0, max_exp))
+        keys = [(i, s - i) for s in range(d + 1) for i in range(s + 1)]
+        keys = draw(st.permutations(keys))
+    return [(key, draw(coeff)) for key in keys]
+
+
+@st.composite
+def telescoping(draw):
+    """(sum_i x^i) r(y) times (1 - x) t(y): every middle x-power cancels."""
+    n = draw(st.integers(1, 20))
+    r = draw(st.lists(st.integers(-(2**520), 2**520).filter(bool), min_size=1, max_size=8))
+    t = draw(st.lists(_small_ints, min_size=1, max_size=8))
+    outer = [((i, j), c) for i in range(n + 1) for j, c in enumerate(r)]
+    inner = [((0, l), c) for l, c in enumerate(t)] + [((1, l), -c) for l, c in enumerate(t)]
+    return outer, inner
+
+
+def _ordered(outer, inner):
+    return (outer, inner) if len(outer) >= len(inner) else (inner, outer)
+
+
+def _assert_paths_agree(outer, inner):
+    oracle = _mul_schoolbook(outer, inner)
+    assert list(_mul_kronecker(outer, inner).items()) == list(oracle.items())
+
+
+@given(int_terms(), int_terms())
+@settings(max_examples=150, deadline=None)
+def test_kronecker_matches_schoolbook(a, b):
+    _assert_paths_agree(*_ordered(a, b))
+
+
+@given(telescoping())
+@settings(max_examples=40, deadline=None)
+def test_kronecker_matches_schoolbook_under_cancellation(pair):
+    outer, inner = _ordered(*pair)
+    product = _mul_kronecker(outer, inner)
+    assert any(v == 0 for v in product.values())
+    _assert_paths_agree(outer, inner)
+
+
+@st.composite
+def fraction_polys(draw):
+    terms = draw(int_terms(max_exp=14, max_terms=100))
+    dens = draw(st.sampled_from([st.just(1), st.integers(1, 12), st.integers(1, 2**40)]))
+    return BiPoly({key: Fraction(c, draw(dens)) for key, c in terms})
+
+
+def _fraction_oracle(a: BiPoly, b: BiPoly) -> dict:
+    big, small = (a, b) if a.n_terms >= b.n_terms else (b, a)
+    out: dict = {}
+    for (i1, j1), c1 in big.terms.items():
+        for (i2, j2), c2 in small.terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: val for key, val in out.items() if val}
+
+
+@given(fraction_polys(), fraction_polys())
+@settings(max_examples=100, deadline=None)
+def test_product_matches_fraction_oracle_on_both_sides_of_cutover(a, b):
+    assert list((a * b).terms.items()) == list(_fraction_oracle(a, b).items())
+
+
+def _dense(degree, coeff):
+    return [((i, s - i), coeff(i, s - i)) for s in range(degree + 1) for i in range(s + 1)]
+
+
+def test_cutover_takes_each_path():
+    dense = _dense(20, lambda i, j: (7 * i + 3 * j) % 11 - 5 or 1)
+    assert _kronecker_pays(dense, dense)
+    # a thousand-term operand times a twenty-term one packs mostly empty slots
+    lopsided = _dense(44, lambda i, j: 3**i - 2**j or 1)
+    sparse = [((i, i), 2**300 + i) for i in range(20)]
+    assert not _kronecker_pays(lopsided, sparse)
+    tiny = _dense(2, lambda i, j: i - j or 1)
+    assert not _kronecker_pays(tiny, tiny)
+    pa, pb = (BiPoly(dict(terms)) for terms in (dense, sparse))
+    assert (pa * pb).terms == _fraction_oracle(pa, pb)
+
+
+def test_kronecker_degree_40_full_triangle():
+    a = _dense(40, lambda i, j: (i * 31 + j * 17) % 23 - 11 or 5)
+    b = _dense(40, lambda i, j: (i * 13 - j * 7) % 19 - 9 or -3)
+    assert _kronecker_pays(a, b)
+    _assert_paths_agree(a, b)
+    pa, pb = BiPoly(dict(a)), BiPoly(dict(b))
+    product = pa * pb
+    assert product.total_degree() == 80
+    point = (Fraction(2, 3), Fraction(-5, 7))
+    assert product.eval(*point) == pa.eval(*point) * pb.eval(*point)
+
+
+def test_kronecker_checks_exponent_cap_before_packing(monkeypatch):
+    dense = _dense(6, lambda i, j: i + 2 * j + 1)
+    assert _kronecker_pays(dense, dense)
+    p = BiPoly(dict(dense))
+    monkeypatch.setenv("DARBOUX_EXP_CAP", "8")
+
+    def no_packing(*args):
+        raise AssertionError("packed before the exponent cap was checked")
+
+    monkeypatch.setattr(polyrat, "_pack", no_packing)
+    with pytest.raises(ExponentCapError, match="x\\^12 exceeds exponent cap 8"):
+        p * p
