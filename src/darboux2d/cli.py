@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 from darboux2d.darboux import potential_from_B, transform_solution
 from darboux2d.families import (
     DEFAULT_PARAMS,
+    FAMILY_KEYS,
     PRESETS,
     build_family,
     build_preset,
@@ -45,9 +46,8 @@ from darboux2d.polyrat import (
     ratfn_eval,
     ratfn_to_str,
 )
-from darboux2d.verify import ALL_TARGETS, check_schrodinger, run_suite, targets_for_family
+from darboux2d.verify import check_schrodinger, run_suite, targets_for_family
 
-_FAMILY_TAGS = {"b0": "B0", "b1": "B1", "b2": "B2", "b3": "B3"}
 _RATIONAL_KEYS = {
     "p0", "q0", "p1", "q1", "x0", "y0", "x1", "y1", "x2", "y2", "C",
 }
@@ -147,38 +147,15 @@ def _rational_instance(family: str, params: dict):
     """(RationalSolution, closed potential) for a family key or preset name."""
     if family in PRESETS:
         sol = build_preset(family, **params)
-    elif family in _FAMILY_TAGS:
-        tag = _FAMILY_TAGS[family]
+    elif family in FAMILY_KEYS:
+        tag = FAMILY_KEYS[family]
         merged = dict(DEFAULT_PARAMS[tag])
         merged.update(params)
         sol = build_family(tag, merged)
     else:
         raise CliError("invalid-params", f"unknown family {family!r}")
-    closed = closed_potential(sol.family_tag, _closed_args(sol))
+    closed = closed_potential(sol.family_tag, sol.pole_params())
     return sol, closed
-
-
-def _closed_args(sol) -> dict:
-    keys = {
-        "B0": ("x0", "y0", "C"),
-        "B1": ("x0", "y0", "x1", "y1", "C"),
-        "B2": ("x1", "y1", "x2", "y2", "C"),
-        "B3": ("x1", "y1", "C"),
-    }[sol.family_tag]
-    poles = sol.config.poles
-    C = sol.config.C
-    values: dict = {"C": C}
-    if sol.family_tag == "B0":
-        values.update({"x0": poles[0][0], "y0": poles[0][1]})
-    elif sol.family_tag == "B1":
-        values.update({"x0": poles[0][0], "y0": poles[0][1],
-                       "x1": poles[1][0], "y1": poles[1][1]})
-    elif sol.family_tag == "B2":
-        values.update({"x1": poles[1][0], "y1": poles[1][1],
-                       "x2": poles[2][0], "y2": poles[2][1]})
-    else:
-        values.update({"x1": poles[1][0], "y1": poles[1][1]})
-    return {k: values[k] for k in keys}
 
 
 def _tanh_constants(params: dict) -> tuple[float, float]:

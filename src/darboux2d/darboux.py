@@ -13,9 +13,12 @@ Given a nonconstant B solving the closure system, this module produces
     acting on seed pairs (Y, Q), and
   * the solution transform  Y~ = R1 Y - Y_y + R2 Q  with  W~ = B Y~.
 
-Everything here is exact rational-function algebra; the only numeric piece is
-the h <-> u bridge (u = -h_xx - h_yy + h_x^2 + h_y^2), which exists to
-cross-check the rational pipeline pointwise.  The scalar h = -ln B itself is
+Everything here is exact rational-function algebra, written as the formulas
+read: `RatFn` keeps the powers of B's numerator and denominator and of
+|grad B|^2 as factors, so terms meet on shared denominators by themselves.
+The only numeric piece is the h <-> u bridge
+(u = -h_xx - h_yy + h_x^2 + h_y^2), which exists to cross-check the
+rational pipeline pointwise.  The scalar h = -ln B itself is
 never formed symbolically: all h-dependence enters through B_x/B ratios.
 """
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from darboux2d.harmonic import HarmonicPair
-from darboux2d.polyrat import PowerRat, RatFn
+from darboux2d.polyrat import RatFn, laplacian_ratfn
 
 
 @dataclass(frozen=True)
@@ -44,60 +47,41 @@ class TransformOutput:
 
 
 def potential_from_B(B: RatFn) -> RatFn:
-    """Exact transformed potential (B_xx + B_yy)/B, unreduced."""
+    """Exact transformed potential (B_xx + B_yy)/B."""
     if B.is_zero():
         raise ValueError("potential requires a nonzero B")
-    ladder = PowerRat.from_ratfn(B)
-    lap = ladder.diff("x").diff("x") + ladder.diff("y").diff("y")
-    return lap.to_ratfn() / B
-
-
-def _R_parts(B: RatFn) -> tuple[RatFn, RatFn]:
-    """Shared-denominator computation of (R1, R2) on one power ladder."""
-    ladder = PowerRat.from_ratfn(B)
-    Bx = ladder.diff("x")
-    By = ladder.diff("y")
-    Bxx = Bx.diff("x")
-    Bxy = Bx.diff("y")
-    Byy = By.diff("y")
-    delta = Bxx - Byy
-    grad2 = Bx * Bx + By * By  # power 4 on the ladder
-    if grad2.is_zero():
-        raise ValueError("R coefficients require a nonconstant B")
-    r1_top = By * delta - 2 * (Bx * Bxy)  # power 5
-    r2_top = Bx * delta + 2 * (By * Bxy)
-    # (top / b^5) / (2 grad2 / b^4)  ->  top / (2 grad2 b)
-    den = 2 * grad2.num * B.den
-    return RatFn(r1_top.num, den), RatFn(r2_top.num, den)
+    return laplacian_ratfn(B) / B
 
 
 def R_coeffs(B: RatFn) -> tuple[RatFn, RatFn]:
     """The first-order coefficients (R1, R2); requires nonconstant B."""
-    return _R_parts(B)
+    Bx = B.diff("x")
+    By = B.diff("y")
+    Bxy = Bx.diff("y")
+    delta = Bx.diff("x") - By.diff("y")
+    grad2 = 2 * (Bx * Bx + By * By)
+    if grad2.is_zero():
+        raise ValueError("R coefficients require a nonconstant B")
+    R1 = (By * delta - 2 * (Bx * Bxy)) / grad2
+    R2 = (Bx * delta + 2 * (By * Bxy)) / grad2
+    return R1, R2
 
 
 def apply_LD(B: RatFn, F: tuple[RatFn, RatFn]) -> tuple[RatFn, RatFn]:
     """Apply the matrix operator to an arbitrary differentiable pair."""
-    R1, R2 = _R_parts(B)
+    R1, R2 = R_coeffs(B)
     return _apply_LD_with(B, R1, R2, F)
 
 
 def _apply_LD_with(
     B: RatFn, R1: RatFn, R2: RatFn, F: tuple[RatFn, RatFn]
 ) -> tuple[RatFn, RatFn]:
-    # unit factors steer every term of a component onto one shared
-    # denominator, so the additions below stay small instead of compounding
-    # cross-multiplied representatives
-    unit_s = RatFn(R1.den, R1.den)
-    unit_d = RatFn(B.den, B.den)
     F1, F2 = F
-    first = B * R1 * F1 - B * F1.diff("y") * unit_s + B * R2 * F2
-    Bx = B.diff("x")
-    By = B.diff("y")
+    first = B * R1 * F1 - B * F1.diff("y") + B * R2 * F2
     second = (
-        (Bx * unit_s - B * R2 * unit_d) * F1
-        + (By * unit_s + B * R1 * unit_d) * F2
-        - B * F2.diff("y") * unit_s * unit_d
+        (B.diff("x") - B * R2) * F1
+        + (B.diff("y") + B * R1) * F2
+        - B * F2.diff("y")
     )
     return first, second
 
@@ -108,7 +92,7 @@ def transform_solution(B: RatFn, seed: HarmonicPair) -> TransformOutput:
     The seed system is enforced by the `HarmonicPair` type itself, so any
     value that reaches this function already satisfies it exactly.
     """
-    R1, R2 = _R_parts(B)
+    R1, R2 = R_coeffs(B)
     Yp = RatFn.from_poly(seed.Y)
     Qp = RatFn.from_poly(seed.Q)
     Y_tilde = R1 * Yp - Yp.diff("y") + R2 * Qp

@@ -43,7 +43,9 @@ from darboux2d.polyrat import (
     laplacian_poly,
 )
 
-FAMILY_TAGS = ("B0", "B1", "B2", "B3", "custom")
+# family key (as the CLI and the suite name it) -> family tag
+FAMILY_KEYS = {"b0": "B0", "b1": "B1", "b2": "B2", "b3": "B3"}
+FAMILY_TAGS = tuple(FAMILY_KEYS.values())
 
 PotentialFn = Union[RatFn, Callable[[float, float], float]]
 
@@ -66,6 +68,13 @@ class RationalSolution:
     def __post_init__(self):
         if self.family_tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.family_tag!r}")
+
+    def pole_params(self) -> dict[str, Fraction]:
+        """``C`` and pole ``i`` as ``x<i>``, ``y<i>``: what `closed_potential` reads."""
+        params = {"C": self.config.C}
+        for i, (x, y) in enumerate(self.config.poles):
+            params[f"x{i}"], params[f"y{i}"] = x, y
+        return params
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Exact sparse bivariate polynomials and unreduced rational functions.
+"""Exact sparse bivariate polynomials and factored rational functions.
 
 Everything in this module is exact: coefficients are arbitrary-precision
 rationals (`fractions.Fraction`), and no simplification step ever divides by
-a polynomial.  Rational functions are kept *unreduced* -- numerator and
-denominator are stored as-is, equality is decided by cross-multiplied zero
-tests, and evaluation happens only at explicit points.  Floats appear solely
-at the evaluation boundary (`eval_float` / `ratfn_eval` with float inputs).
+a polynomial.  A rational function is a polynomial times integer powers of
+shared nonzero factor polynomials (:class:`RatFn`); the algebra adds,
+lowers and lifts exponents instead of cross-multiplying, no gcd is ever
+taken, equality is decided by an exact zero test, and evaluation happens
+only at explicit points.  Floats appear solely at the evaluation boundary
+(`eval_float` / `ratfn_eval` with float inputs).
 
 Terms are stored sparsely as ``{(i, j): coeff}`` with ``i`` the x-exponent and
 ``j`` the y-exponent.  Rendering and parsing use a graded-lexicographic term
@@ -231,15 +233,15 @@ class BiPoly:
     def __pow__(self, power: int) -> "BiPoly":
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = BiPoly.const(1)
+        result = None
         base = self
         while power:
             if power & 1:
-                result = result * base
+                result = base if result is None else result * base
             power >>= 1
             if power:
                 base = base * base
-        return result
+        return BiPoly.const(1) if result is None else result
 
     # -- calculus ----------------------------------------------------------
 
@@ -518,19 +520,35 @@ ZERO = BiPoly.const(0)
 # rational functions
 # ---------------------------------------------------------------------------
 
+Factors = tuple[tuple[BiPoly, int], ...]
+
 
 class RatFn:
-    """Unreduced quotient of two :class:`BiPoly` values.
+    """Rational function ``poly * prod(f ** e)`` over shared factors.
 
-    No cancellation is ever attempted (there is no multivariate gcd here, on
-    purpose): two representatives of the same function compare equal through
-    the cross-multiplied zero test in :meth:`is_zero` / :func:`ratfn_is_zero`.
-    Additions between operands that share a denominator *object value* keep
-    that denominator instead of squaring it, which is the main guard against
-    representative blow-up in long derivative cascades.
+    Each factor ``f`` is a nonzero polynomial and each exponent ``e`` a
+    nonzero integer; a negative exponent puts its factor in the denominator.
+    Every denominator in this package is a product of powers of a few
+    polynomials (``B.den``, ``B.num`` and the numerator of ``|grad B|^2``),
+    so the algebra tracks those powers instead of cross-multiplying:
+
+      * ``RatFn(num, den)`` makes ``den`` one factor (a unit ``den`` none);
+      * a product adds exponents, and a factor whose exponent reaches zero
+        drops out without any polynomial work;
+      * division turns the divisor's ``poly`` into a factor;
+      * a sum lifts both operands to the exponent-wise minimum;
+      * ``diff`` lowers the exponent of each factor that depends on the
+        variable by one (the quotient rule, factor by factor).
+
+    Factors match by identity or by equal terms.  No cancellation between
+    ``poly`` and the factors is attempted (there is no multivariate gcd here,
+    on purpose).  Since every factor is nonzero, the function is zero exactly
+    when ``poly`` is: that is the exact zero test of :meth:`is_zero` and
+    :func:`ratfn_is_zero`.  ``num`` and ``den`` expand the factors on first
+    use; for ``RatFn(num, den)`` they are the very objects passed in.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("poly", "factors", "_num", "_den")
 
     def __init__(self, num: BiPoly | Scalar, den: BiPoly | Scalar | None = None):
         num = _coerce_poly(num)
@@ -544,23 +562,47 @@ class RatFn:
                 raise TypeError("denominator must be a BiPoly or scalar")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        self.num = num
-        self.den = den
+        self.poly = num
+        self.factors: Factors = () if den == ONE else ((den, -1),)
+        self._num = num
+        self._den = den
+
+    @classmethod
+    def _of(cls, poly: BiPoly, factors: Iterable[tuple[BiPoly, int]]) -> "RatFn":
+        obj = object.__new__(cls)
+        obj.poly = poly
+        obj.factors = tuple(factors)
+        obj._num = obj._den = None
+        return obj
 
     @classmethod
     def from_poly(cls, poly: BiPoly | Scalar) -> "RatFn":
-        return cls(poly, ONE)
+        return cls(poly)
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def num(self) -> BiPoly:
+        """Numerator: ``poly`` times the factors with positive exponents."""
+        if self._num is None:
+            up = _power_product((f, e) for f, e in self.factors if e > 0)
+            self._num = self.poly if up is None else self.poly * up
+        return self._num
+
+    @property
+    def den(self) -> BiPoly:
+        """Denominator: the factors with negative exponents, expanded."""
+        if self._den is None:
+            down = _power_product((f, -e) for f, e in self.factors if e < 0)
+            self._den = ONE if down is None else down
+        return self._den
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.poly.terms
 
     def is_constant(self) -> bool:
-        """True iff the function is constant (cross-derivative test, exact)."""
-        return (self.num.diff("x") * self.den - self.num * self.den.diff("x")).is_zero() and (
-            self.num.diff("y") * self.den - self.num * self.den.diff("y")
-        ).is_zero()
+        """True iff both partial derivatives vanish identically (exact)."""
+        return self.diff("x").is_zero() and self.diff("y").is_zero()
 
     def __eq__(self, other: object) -> bool:
         other = _coerce_ratfn(other)
@@ -573,26 +615,38 @@ class RatFn:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "RatFn":
+    def _sum(self, other, sign: int) -> "RatFn":
+        """``self + sign * other`` over the exponent-wise minimum."""
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == other.den.terms:
-            return RatFn(self.num + other.num, self.den)
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        if not other.poly.terms:
+            return self
+        if not self.poly.terms:
+            return other if sign > 0 else -other
+        rows = [[f, e, 0] for f, e in self.factors]
+        for f, e in other.factors:
+            row = _find(rows, f)
+            if row is None:
+                rows.append([f, 0, e])
+            else:
+                row[2] = e
+        low = [min(ea, eb) for _, ea, eb in rows]
+        mine = _lift(self.poly, [(f, ea - m) for (f, ea, _), m in zip(rows, low)])
+        theirs = _lift(other.poly, [(f, eb - m) for (f, _, eb), m in zip(rows, low)])
+        poly = mine + theirs if sign > 0 else mine - theirs
+        return RatFn._of(poly, [(f, m) for (f, _, _), m in zip(rows, low) if m])
+
+    def __add__(self, other) -> "RatFn":
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFn":
-        return RatFn(-self.num, self.den)
+        return RatFn._of(-self.poly, self.factors)
 
     def __sub__(self, other) -> "RatFn":
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.terms == other.den.terms:
-            return RatFn(self.num - other.num, self.den)
-        return RatFn(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> "RatFn":
         other = _coerce_ratfn(other)
@@ -601,10 +655,12 @@ class RatFn:
         return other - self
 
     def __mul__(self, other) -> "RatFn":
+        if isinstance(other, (int, Fraction)):
+            return RatFn._of(self.poly * other, self.factors)
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFn(self.num * other.num, self.den * other.den)
+        return RatFn._of(self.poly * other.poly, _merge(self.factors, other.factors, 1))
 
     __rmul__ = __mul__
 
@@ -612,9 +668,12 @@ class RatFn:
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
+        if other.poly.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
+        factors = _merge(self.factors, other.factors, -1)
+        if other.poly.is_constant():
+            return RatFn._of(self.poly * (1 / other.poly.coeff(0, 0)), factors)
+        return RatFn._of(self.poly, _merge(factors, ((other.poly, -1),), 1))
 
     def __rtruediv__(self, other) -> "RatFn":
         other = _coerce_ratfn(other)
@@ -625,24 +684,51 @@ class RatFn:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "RatFn":
-        num = self.num.diff(var) * self.den - self.num * self.den.diff(var)
-        return RatFn(num, self.den * self.den)
+        """Quotient rule over the factors.
+
+        With ``P_k = poly * f_1 ... f_k`` over the factors that depend on
+        ``var``, the new ``poly`` is built as ``t_k = t_(k-1) f_k +
+        e_k f_k' P_(k-1)`` from ``t_0 = poly'``, and each of those factors
+        loses one power.
+        """
+        slopes = [f.diff(var) for f, _ in self.factors]
+        last = max((k for k, df in enumerate(slopes) if df.terms), default=-1)
+        top, run = self.poly.diff(var), self.poly
+        factors = []
+        for k, ((f, e), df) in enumerate(zip(self.factors, slopes)):
+            if df.terms:
+                top = top * f + run * (df * e)
+                if k < last:
+                    run = run * f
+                e -= 1
+            if e:
+                factors.append((f, e))
+        return RatFn._of(top, factors)
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, x: Scalar, y: Scalar) -> Fraction:
-        den = self.den.eval(x, y)
+        num, den = self.poly.eval(x, y), Fraction(1)
+        for f, e in self.factors:
+            v = f.eval(x, y) ** abs(e)
+            if e > 0:
+                num *= v
+            else:
+                den *= v
         if den == 0:
             raise PoleEvaluationError(f"denominator vanishes at ({x}, {y})")
-        return self.num.eval(x, y) / den
+        return num / den
 
     def eval_float(self, x, y):
-        num = self.num.eval_float(x, y)
-        den = self.den.eval_float(x, y)
-        if isinstance(den, float):
-            if den == 0.0:
-                return math.nan
-            return num / den
+        num, den = self.poly.eval_float(x, y), 1.0
+        for f, e in self.factors:
+            v = f.eval_float(x, y) ** abs(e)
+            if e > 0:
+                num = num * v
+            else:
+                den = den * v
+        if isinstance(den, float) and den == 0.0:
+            return math.nan
         return num / den  # array path: caller handles infs/nans
 
     # -- rendering ---------------------------------------------------------
@@ -657,116 +743,44 @@ class RatFn:
 def _coerce_ratfn(value) -> "RatFn":
     if isinstance(value, RatFn):
         return value
-    if isinstance(value, BiPoly):
-        return RatFn(value, ONE)
-    if isinstance(value, (int, Fraction)):
-        return RatFn(BiPoly.const(value), ONE)
+    if isinstance(value, (BiPoly, int, Fraction)):
+        return RatFn(value)
     return NotImplemented
 
 
-# ---------------------------------------------------------------------------
-# denominator-power ladders
-# ---------------------------------------------------------------------------
+def _find(rows: list, f: BiPoly):
+    """The row whose factor is ``f`` (same object or same terms), or None."""
+    for row in rows:
+        g = row[0]
+        if g is f or g.terms == f.terms:
+            return row
+    return None
 
 
-class PowerBase:
-    """Cached powers of one fixed denominator polynomial.
-
-    Derivative cascades of ``n / b**k`` only ever need denominators that are
-    powers of the same ``b``; keeping those powers in a shared table lets
-    :class:`PowerRat` run quotient rules without re-multiplying denominators.
-    """
-
-    __slots__ = ("poly", "_powers")
-
-    def __init__(self, poly: BiPoly):
-        if poly.is_zero():
-            raise ZeroDivisionError("power base must be a nonzero polynomial")
-        self.poly = poly
-        self._powers: dict[int, BiPoly] = {0: ONE, 1: poly}
-
-    def pow(self, k: int) -> BiPoly:
-        if k < 0:
-            raise ValueError("negative denominator power")
-        cached = self._powers.get(k)
-        if cached is None:
-            cached = self.pow(k - 1) * self.poly
-            self._powers[k] = cached
-        return cached
+def _merge(a: Factors, b: Factors, sign: int) -> Factors:
+    """Exponents of ``a`` plus ``sign`` times those of ``b``; zeros drop out."""
+    rows = [[f, e] for f, e in a]
+    for f, e in b:
+        row = _find(rows, f)
+        if row is None:
+            rows.append([f, sign * e])
+        else:
+            row[1] += sign * e
+    return tuple((f, e) for f, e in rows if e)
 
 
-class PowerRat:
-    """Rational function of the special shape ``num / base**power``.
+def _power_product(factors: Iterable[tuple[BiPoly, int]]) -> BiPoly | None:
+    """``prod f ** k`` over positive ``k``; ``None`` for the empty product."""
+    out = None
+    for f, k in factors:
+        p = f if k == 1 else f**k
+        out = p if out is None else out * p
+    return out
 
-    The derivative of ``n / b**k`` is ``(n' b - k n b') / b**(k+1)``: one
-    rung up the same ladder.  All second-order differential expressions in
-    this package (potentials, transform coefficients, residuals) stay inside
-    a single ladder, which keeps denominators shared and additions cheap.
-    """
 
-    __slots__ = ("base", "num", "power")
-
-    def __init__(self, base: PowerBase, num: BiPoly, power: int):
-        if power < 0:
-            raise ValueError("negative denominator power")
-        self.base = base
-        self.num = num
-        self.power = power
-
-    @classmethod
-    def from_ratfn(cls, f: RatFn) -> "PowerRat":
-        return cls(PowerBase(f.den), f.num, 1)
-
-    def diff(self, var: str) -> "PowerRat":
-        b = self.base.poly
-        num = self.num.diff(var) * b - self.num * b.diff(var) * self.power
-        return PowerRat(self.base, num, self.power + 1)
-
-    def _lift(self, power: int) -> BiPoly:
-        if power < self.power:
-            raise ValueError("cannot lower a ladder power")
-        if power == self.power:
-            return self.num
-        return self.num * self.base.pow(power - self.power)
-
-    def __add__(self, other) -> "PowerRat":
-        if isinstance(other, PowerRat):
-            if other.base is not self.base:
-                raise ValueError("PowerRat addition requires a shared base")
-            k = max(self.power, other.power)
-            return PowerRat(self.base, self._lift(k) + other._lift(k), k)
-        if isinstance(other, (int, Fraction, BiPoly)):
-            return self + PowerRat(self.base, _coerce_poly(other), 0)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PowerRat":
-        return PowerRat(self.base, -self.num, self.power)
-
-    def __sub__(self, other) -> "PowerRat":
-        neg = -other if isinstance(other, PowerRat) else -_coerce_poly(other)
-        return self + neg
-
-    def __rsub__(self, other) -> "PowerRat":
-        return -(self - other)
-
-    def __mul__(self, other) -> "PowerRat":
-        if isinstance(other, PowerRat):
-            if other.base is not self.base:
-                raise ValueError("PowerRat multiplication requires a shared base")
-            return PowerRat(self.base, self.num * other.num, self.power + other.power)
-        if isinstance(other, (int, Fraction, BiPoly)):
-            return PowerRat(self.base, self.num * _coerce_poly(other), self.power)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def to_ratfn(self) -> RatFn:
-        return RatFn(self.num, self.base.pow(self.power))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+def _lift(poly: BiPoly, factors: list[tuple[BiPoly, int]]) -> BiPoly:
+    up = _power_product((f, k) for f, k in factors if k)
+    return poly if up is None else poly * up
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +832,8 @@ def laplacian_ratfn(f: RatFn) -> RatFn:
 
 
 def ratfn_is_zero(f: RatFn) -> bool:
-    """Exact zero test: the (unreduced) numerator expands to zero."""
-    return f.num.is_zero()
+    """Exact zero test: the polynomial part is zero (every factor is not)."""
+    return f.is_zero()
 
 
 def ratfn_eval(f: RatFn, point: tuple) -> "Fraction | float":

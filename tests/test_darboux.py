@@ -46,6 +46,12 @@ def test_potential_from_B_b0(b0):
         potential_from_B(RatFn.from_poly(ZERO))
 
 
+def test_potential_from_B_negative_control_wrong_C(b0):
+    # b0 has C = 1; the closed form for C = 2 is another potential
+    u_wrong = closed_potential("B0", {"x0": 0, "y0": 0, "C": 2}).u
+    assert not (potential_from_B(b0) - u_wrong).is_zero()
+
+
 def test_transform_const_seed_gives_R2(b0):
     out = transform_solution(b0, HarmonicPair(Y=ZERO, Q=ONE))
     _, R2 = R_coeffs(b0)

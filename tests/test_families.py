@@ -9,6 +9,7 @@ from darboux2d import families
 from darboux2d.darboux import potential_from_B
 from darboux2d.families import (
     DEFAULT_PARAMS,
+    FAMILY_KEYS,
     FAMILY_TAGS,
     PRESETS,
     TanhSolution,
@@ -105,7 +106,8 @@ def test_b3_rejects_origin_second_pole():
 
 
 def test_family_tags_and_dispatch():
-    assert FAMILY_TAGS == ("B0", "B1", "B2", "B3", "custom")
+    assert FAMILY_TAGS == ("B0", "B1", "B2", "B3")
+    assert FAMILY_KEYS == {"b0": "B0", "b1": "B1", "b2": "B2", "b3": "B3"}
     with pytest.raises(ValueError):
         build_family("B9", {})
     for tag in ("B0", "B1", "B2", "B3"):
@@ -178,3 +180,13 @@ def test_builder_guards_raise_on_bad_numerator(monkeypatch, build, message):
     monkeypatch.setattr(families, "pole_sum", skewed)
     with pytest.raises(ArithmeticError, match=message):
         build()
+
+
+def test_pole_params_feed_the_closed_potential():
+    sol = build_preset("tsarev-2")
+    assert sol.pole_params() == {
+        "C": sol.config.C, "x0": 0, "y0": 0,
+        **{k: PRESETS["tsarev-2"].params[k] for k in ("x1", "y1", "x2", "y2")},
+    }
+    u = closed_potential("B3", build_B3(1, 0, 1, 1, 1).pole_params()).u
+    assert (u - closed_potential("B3", DEFAULT_PARAMS["B3"]).u).is_zero()

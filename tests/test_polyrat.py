@@ -16,7 +16,6 @@ from darboux2d.polyrat import (
     BiPoly,
     ExponentCapError,
     PoleEvaluationError,
-    PowerRat,
     RatFn,
     _kronecker_pays,
     _mul_kronecker,
@@ -189,11 +188,21 @@ def test_laplacian_ratfn_matches_double_diff():
     assert (laplacian_ratfn(f) - direct).is_zero()
 
 
-def test_power_ladder_matches_quotient_rule():
-    f = RatFn(X + Y ** 2, X ** 2 + Y ** 2 + 2)
-    ladder = PowerRat.from_ratfn(f)
-    lap_ladder = (ladder.diff("x").diff("x") + ladder.diff("y").diff("y")).to_ratfn()
-    assert (lap_ladder - laplacian_ratfn(f)).is_zero()
+def test_ratfn_keeps_the_objects_it_was_built_from():
+    num, den = X + Y, X ** 2 + Y ** 2 + 1
+    f = RatFn(num, den)
+    assert f.num is num and f.den is den
+    assert RatFn(num).den == ONE
+
+
+def test_ratfn_exponents_cancel_to_zero():
+    den = X ** 2 + Y ** 2 + 1
+    f = RatFn(X, den)
+    # den's exponents cancel; only the divisor's polynomial X is left
+    assert (f / f).den == X and f / f == 1
+    assert (f * (1 / f)).den == X
+    assert ((f * f) / f).den == den * X
+    assert (f.diff("x") / (f * f)).den == X * X
 
 
 # -- property tests ---------------------------------------------------------
@@ -240,6 +249,75 @@ def test_text_round_trip_property(p):
 def test_eval_is_a_homomorphism(p, a, b):
     q = p * p - 3 * p
     assert q.eval(a, b) == p.eval(a, b) ** 2 - 3 * p.eval(a, b)
+
+
+# -- factored rational functions --------------------------------------------
+#
+# The oracle is the textbook cross-multiplied fraction (n, d) with the
+# quotient rule for derivatives.  Atoms share denominators, as the same
+# object or as an equal copy, so that exponents add, lift and cancel.
+
+_small_polys = polys(max_terms=3, max_exp=2)
+_RATFN_STEPS = ("add", "sub", "mul", "div", "cancel", "dx", "dy")
+
+
+def _oracle(op: str, a: tuple, b: tuple) -> tuple:
+    (n1, d1), (n2, d2) = a, b
+    if op == "add":
+        return n1 * d2 + n2 * d1, d1 * d2
+    if op == "sub":
+        return n1 * d2 - n2 * d1, d1 * d2
+    if op == "mul":
+        return n1 * n2, d1 * d2
+    if op == "div":
+        return n1 * d2, d1 * n2
+    if op == "cancel":  # (a * b) / b
+        return n1 * n2 * d2, d1 * d2 * n2
+    var = op[1]
+    return n1.diff(var) * d1 - n1 * d1.diff(var), d1 * d1
+
+
+def _apply(op: str, a: RatFn, b: RatFn) -> RatFn:
+    if op == "cancel":
+        return (a * b) / b
+    if op in ("dx", "dy"):
+        return a.diff(op[1])
+    return ratfn_arith(a, b, op)
+
+
+@st.composite
+def ratfn_programs(draw):
+    dens = [draw(_small_polys.filter(bool)) for _ in range(2)]
+    atoms = []
+    for _ in range(3):
+        d = draw(st.sampled_from(dens))
+        if draw(st.booleans()):
+            d = BiPoly(dict(d.terms))  # equal terms, another object
+        atoms.append((draw(_small_polys), d))
+    index = st.integers(min_value=0, max_value=7)
+    steps = draw(st.lists(st.tuples(st.sampled_from(_RATFN_STEPS), index, index),
+                          min_size=1, max_size=5))
+    return atoms, steps
+
+
+@given(ratfn_programs())
+@settings(max_examples=150, deadline=None)
+def test_ratfn_matches_quotient_rule_oracle(program):
+    atoms, steps = program
+    values = [RatFn(n, d) for n, d in atoms]
+    oracles = list(atoms)
+    for op, i, j in steps:
+        i, j = i % len(values), j % len(values)
+        if op in ("div", "cancel") and oracles[j][0].is_zero():
+            with pytest.raises(ZeroDivisionError):
+                _apply(op, values[i], values[j])
+            continue
+        got = _apply(op, values[i], values[j])
+        n, d = _oracle(op, oracles[i], oracles[j])
+        assert (got.num * d - n * got.den).is_zero()
+        assert got.is_zero() == n.is_zero()
+        values.append(got)
+        oracles.append((n, d))
 
 
 # -- Kronecker-substitution multiply ----------------------------------------

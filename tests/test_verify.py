@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from darboux2d.darboux import transform_solution
+from darboux2d import families
+from darboux2d.cli import main
+from darboux2d.darboux import TransformOutput, potential_from_B, transform_solution
 from darboux2d.families import build_family, build_tanh, closed_potential
 from darboux2d.harmonic import HarmonicPair, harmonic_basis
-from darboux2d.polyrat import ONE, X, Y, ZERO, RatFn
+from darboux2d.polyrat import ONE, X, Y, ZERO, ExponentCapError, RatFn
 from darboux2d.verify import (
     ALL_TARGETS,
     GridSpec,
@@ -78,6 +80,62 @@ def test_check_new_potential_system_certifies_transform():
     B = build_family("B0", B0_PARAMS).B
     out = transform_solution(B, harmonic_basis(2)[2])
     assert check_new_potential_system(B, out).passed
+
+
+# -- negative controls: each exact check must reject a perturbed input ------
+
+
+def test_check_eq12_negative_control_b0_plus_x_squared():
+    B = build_family("B0", B0_PARAMS).B
+    assert check_eq12(B).passed
+    assert not check_eq12(B + X * X).passed
+
+
+def _b0_re_z2_transform():
+    B = build_family("B0", B0_PARAMS).B
+    return B, transform_solution(B, harmonic_basis(2)[2])
+
+
+def test_check_schrodinger_negative_control_shifted_potential():
+    B, out = _b0_re_z2_transform()
+    u = potential_from_B(B)
+    assert check_schrodinger(out.Y_tilde, u).passed
+    assert not check_schrodinger(out.Y_tilde, u + 1).passed
+
+
+def test_check_new_potential_system_negative_control():
+    B, out = _b0_re_z2_transform()
+    # the system sees Q~ only through its derivatives, so Q~ + 1 is an
+    # equally valid partner, and Q~ + x is not
+    shifted = TransformOutput(out.Y_tilde, out.W_tilde, out.Q_tilde + 1)
+    assert check_new_potential_system(B, shifted).passed
+    tilted = TransformOutput(out.Y_tilde, out.W_tilde, out.Q_tilde + X)
+    assert not check_new_potential_system(B, tilted).passed
+    lifted = TransformOutput(out.Y_tilde, out.W_tilde + 1, out.Q_tilde)
+    assert not check_new_potential_system(B, lifted).passed
+
+
+def test_dim_guard_failure_is_a_fail_verdict(monkeypatch):
+    real = families.pole_sum
+
+    def skewed(config):
+        N, M = real(config)
+        return N + X * X, M
+
+    monkeypatch.setattr(families, "pole_sum", skewed)
+    (rep,) = run_suite(["dim:b1"], seed=7)
+    assert rep.verdict == "fail"
+    assert [c["explicit_in_span"] for c in rep.detail["cases"]] == [False] * 4
+
+
+def test_dim_guard_lets_exponent_cap_through(monkeypatch):
+    def capped(config):
+        raise ExponentCapError("monomial above the cap")
+
+    monkeypatch.setattr(families, "pole_sum", capped)
+    with pytest.raises(ExponentCapError):
+        run_suite(["dim:b1"], seed=7)
+    assert main(["verify", "--targets", "dim:b1"]) == 2
 
 
 def test_grid_spec_validation():
