@@ -9,7 +9,7 @@ numerically (finite-difference residuals on grids).
 
 from darboux2d.polyrat import BiPoly, RatFn
 from darboux2d.harmonic import HarmonicPair, PoleConfig
-from darboux2d.families import RationalSolution, TanhSolution, ClosedPotential
+from darboux2d.families import RationalSolution, ClosedPotential
 from darboux2d.darboux import TransformOutput
 from darboux2d.verify import GridSpec, ResidualReport
 
@@ -19,7 +19,6 @@ __all__ = [
     "HarmonicPair",
     "PoleConfig",
     "RationalSolution",
-    "TanhSolution",
     "ClosedPotential",
     "TransformOutput",
     "GridSpec",

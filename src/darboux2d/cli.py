@@ -41,7 +41,6 @@ from darboux2d.polyrat import (
     ONE,
     ZERO,
     ExponentCapError,
-    PoleEvaluationError,
     as_fraction,
     ratfn_eval,
     ratfn_to_str,
@@ -286,11 +285,9 @@ def _field_closure(config: CliConfig) -> Callable[[float, float], float]:
 
     def sample(x: float, y: float) -> float:
         # exact rational evaluation at the (exactly representable) grid
-        # point, rounded once: the emitted double re-evaluates bit-for-bit
-        try:
-            return float(ratfn_eval(target, (Fraction(x), Fraction(y))))
-        except PoleEvaluationError:
-            return math.nan
+        # point, rounded once: the emitted double re-evaluates bit-for-bit;
+        # a pole raises a ZeroDivisionError, which `cmd_grid` turns into nan
+        return float(ratfn_eval(target, (Fraction(x), Fraction(y))))
 
     return sample
 

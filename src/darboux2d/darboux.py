@@ -25,7 +25,7 @@ never formed symbolically: all h-dependence enters through B_x/B ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from darboux2d.harmonic import HarmonicPair
 from darboux2d.polyrat import RatFn, laplacian_ratfn
@@ -38,7 +38,8 @@ class TransformOutput:
     ``W_tilde`` and ``Q_tilde`` are the two components of the matrix operator
     applied to the seed; ``Y_tilde = W_tilde / B`` is the transformed
     Schrodinger solution.  ``W_tilde == B * Y_tilde`` holds as an exact
-    identity (checked at construction time by `transform_solution`).
+    identity; the `transform:*` suite targets certify it as their ``w``
+    residual, so nothing here re-checks it.
     """
 
     Y_tilde: RatFn
@@ -97,8 +98,6 @@ def transform_solution(B: RatFn, seed: HarmonicPair) -> TransformOutput:
     Qp = RatFn.from_poly(seed.Q)
     Y_tilde = R1 * Yp - Yp.diff("y") + R2 * Qp
     W_tilde, Q_tilde = _apply_LD_with(B, R1, R2, (Yp, Qp))
-    if not (W_tilde - B * Y_tilde).is_zero():
-        raise ArithmeticError("W~ = B Y~ must hold identically")
     return TransformOutput(Y_tilde=Y_tilde, W_tilde=W_tilde, Q_tilde=Q_tilde)
 
 
@@ -109,9 +108,9 @@ def transform_solution(B: RatFn, seed: HarmonicPair) -> TransformOutput:
 
 @dataclass(frozen=True)
 class Field2:
-    """A scalar field given through analytic first/second partial closures.
+    """A scalar field given through its analytic first/second partials.
 
-    ``f`` (the field value itself) is optional: the potential formula only
+    The field value itself is not needed: the potential formula only
     consumes derivatives.
     """
 
@@ -119,7 +118,6 @@ class Field2:
     fy: Callable[[float, float], float]
     fxx: Callable[[float, float], float]
     fyy: Callable[[float, float], float]
-    f: Optional[Callable[[float, float], float]] = None
 
 
 def u_from_h(h: Field2) -> Callable[[float, float], float]:
@@ -139,15 +137,13 @@ def neg_log_field(B: RatFn) -> Field2:
     """h = -ln B as a derivative-only field, exact up to final evaluation.
 
     All four partials are rational functions of (x, y) built from B
-    symbolically; the closure evaluates them in double precision.  Points
-    where B vanishes (h undefined) yield non-finite values.
+    symbolically; their `eval_float` methods evaluate them in double
+    precision, at points or over numpy arrays.  Points where B vanishes
+    (h undefined) yield non-finite values.
     """
     hx = -(B.diff("x") / B)
     hy = -(B.diff("y") / B)
     hxx = hx.diff("x")
     hyy = hy.diff("y")
-
-    def make(f: RatFn) -> Callable[[float, float], float]:
-        return lambda x, y: f.eval_float(float(x), float(y))
-
-    return Field2(fx=make(hx), fy=make(hy), fxx=make(hxx), fyy=make(hyy))
+    return Field2(fx=hx.eval_float, fy=hy.eval_float,
+                  fxx=hxx.eval_float, fyy=hyy.eval_float)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
+import numpy as np
+
 from darboux2d.harmonic import (
     PoleConfig,
     _pole_factor,
@@ -75,18 +77,6 @@ class RationalSolution:
         for i, (x, y) in enumerate(self.config.poles):
             params[f"x{i}"], params[f"y{i}"] = x, y
         return params
-
-
-@dataclass(frozen=True)
-class TanhSolution:
-    """Parameters of the hyperbolic solution tanh((xy - C2)/C1)."""
-
-    C1: float
-    C2: float
-
-    def __post_init__(self):
-        if self.C1 == 0:
-            raise ValueError("C1 must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -408,9 +398,9 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
 # ---------------------------------------------------------------------------
 
 
-def _sech2(t: float) -> float:
+def _sech2(t):
     # 1/cosh(t)^2 without overflow for large |t|
-    a = math.exp(-2.0 * abs(t))
+    a = np.exp(-2.0 * np.abs(t))
     return 4.0 * a / (1.0 + a) ** 2
 
 
@@ -421,17 +411,20 @@ def build_tanh(C1: float, C2: float) -> tuple[
 
     u(x, y) = -2 C1^-2 (x^2 + y^2) / cosh^2((xy - C2)/C1), evaluated with an
     overflow-safe sech^2 so both closures are finite at arbitrary points.
+    Both take floats or numpy arrays for x and y.
     """
     C1 = float(C1)
     C2 = float(C2)
     if C1 == 0:
         raise ValueError("C1 must be nonzero")
 
-    def B_s(x: float, y: float) -> float:
-        return math.tanh((x * y - C2) / C1)
+    def B_s(x, y):
+        return np.tanh((x * y - C2) / C1)
 
-    def u(x: float, y: float) -> float:
-        return -2.0 / (C1 * C1) * (x * x + y * y) * _sech2((x * y - C2) / C1)
+    def u(x, y):
+        # inf * 0 far out is nan, silently, as with Python floats
+        with np.errstate(invalid="ignore"):
+            return -2.0 / (C1 * C1) * (x * x + y * y) * _sech2((x * y - C2) / C1)
 
     return B_s, u
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -53,7 +53,9 @@ from darboux2d.polyrat import (
     ratfn_is_zero,
 )
 
-NumFn = Callable[[float, float], float]
+# A numeric field: takes (x_array, y) with a float y and returns the values
+# along that grid row (numpy broadcasting, e.g. `RatFn.eval_float`).
+NumFn = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -217,11 +219,31 @@ def check_new_potential_system(
 # ---------------------------------------------------------------------------
 
 
+def _numeric_report(
+    name: str,
+    worst: float,
+    tol: float,
+    detail: dict,
+    params: dict | None = None,
+    seed: int | None = None,
+) -> ResidualReport:
+    """A numeric verdict: pass when the worst residual is within `tol`."""
+    return ResidualReport(
+        check_name=name,
+        mode="numeric",
+        verdict="pass" if worst <= tol else "fail",
+        detail={"max_residual": float(worst), "tolerance": tol, **detail},
+        params=params or {},
+        seed=seed,
+    )
+
+
 def _sample(f: NumFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # one call per row: a whole-grid call would hold every power of x and y
+    # that `RatFn.eval_float` builds as a grid-sized array at once
     grid = np.empty((len(ys), len(xs)))
     for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            grid[i, j] = f(float(x), float(y))
+        grid[i] = f(xs, float(y))
     return grid
 
 
@@ -254,6 +276,11 @@ def fd_residual(
 ) -> ResidualReport:
     """Max |lap(Y) - u Y| over interior grid points, by central differences.
 
+    `u` and `Y` are sampled one grid row per call, as ``f(xs, y)`` with the
+    row's x values as a numpy array and a float y, so they must broadcast
+    over arrays (`RatFn.eval_float` does).  Rows rather than the whole grid
+    keep memory to a few rows of intermediates.
+
     Points within `grid.exclusion_radius` of any declared singular point are
     skipped, as are points where either field fails to be finite; the skipped
     count is reported.  Raises if nothing remains.
@@ -277,10 +304,7 @@ def fd_residual(
     skipped = int(residual.size - keep.sum())
     if not keep.any():
         raise ValueError("every grid point was excluded")
-    max_residual = float(residual[keep].max())
     detail = {
-        "max_residual": max_residual,
-        "tolerance": tol,
         "order": order,
         "grid": {
             "x_range": list(grid.x_range),
@@ -290,11 +314,7 @@ def fd_residual(
         },
         "skipped_points": skipped,
     }
-    verdict = "pass" if max_residual <= tol else "fail"
-    return ResidualReport(
-        check_name=name, mode="numeric", verdict=verdict, detail=detail,
-        params=params or {},
-    )
+    return _numeric_report(name, residual[keep].max(), tol, detail, params)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +378,6 @@ def _params_text(params: dict) -> dict:
         else:
             out[key] = str(val)
     return out
-
-
-def _ratfn_closure(f: RatFn) -> NumFn:
-    return lambda x, y: f.eval_float(float(x), float(y))
 
 
 def _aggregate(
@@ -469,10 +485,7 @@ def _run_potential_tsarev1(seed: int) -> ResidualReport:
                            params=_params_text(PRESETS["tsarev-1"].params),
                            extra={"origin_value": str(spot)})
     if spot != Fraction(-1, 5):
-        report = ResidualReport(
-            check_name=name, mode="exact", verdict="fail",
-            detail=report.detail, params=report.params, seed=seed,
-        )
+        report = replace(report, verdict="fail")
     return report
 
 
@@ -517,13 +530,8 @@ def _run_potential_tsarev2(seed: int) -> ResidualReport:
         b = u_surd(x, y)
         rel = abs(a - b) / max(abs(a), abs(b))
         worst = max(worst, rel)
-    detail = {"max_residual": worst, "tolerance": 1e-9, "points": 25,
-              "comparison": "relative"}
-    verdict = "pass" if worst <= 1e-9 else "fail"
-    return ResidualReport(
-        check_name=name, mode="numeric", verdict=verdict, detail=detail,
-        params={"preset": "tsarev-2"}, seed=seed,
-    )
+    return _numeric_report(name, worst, 1e-9, {"points": 25, "comparison": "relative"},
+                           {"preset": "tsarev-2"}, seed)
 
 
 def _family_instance(key: str):
@@ -569,20 +577,12 @@ def _run_transform_family(key: str, seed: int) -> ResidualReport:
                       params={"family": key, "preset": sol.preset})
 
 
-def _tanh_pair() -> tuple[NumFn, NumFn]:
-    return build_tanh(1.0, 0.0)
-
-
 def _run_tanh_fd(seed: int) -> ResidualReport:
-    name = "tanh:fd"
-    B_s, u = _tanh_pair()
+    B_s, u = build_tanh(1.0, 0.0)
     grid = GridSpec(x_range=(-2.0, 2.0), y_range=(-2.0, 2.0), nx=401, ny=401)
-    rep = fd_residual(u, B_s, grid, order=4, tol=1e-6, name=name,
+    rep = fd_residual(u, B_s, grid, order=4, tol=1e-6, name="tanh:fd",
                       params={"C1": "1", "C2": "0"})
-    return ResidualReport(
-        check_name=name, mode="numeric", verdict=rep.verdict, detail=rep.detail,
-        params=rep.params, seed=seed,
-    )
+    return replace(rep, seed=seed)
 
 
 def _tanh_neg_log_field(C1: float, C2: float) -> Field2:
@@ -615,7 +615,7 @@ def _tanh_neg_log_field(C1: float, C2: float) -> Field2:
 def _run_tanh_ufromh(seed: int) -> ResidualReport:
     name = "tanh:ufromh"
     rng = random.Random(f"{seed}:{name}")
-    _, u_closed = _tanh_pair()
+    _, u_closed = build_tanh(1.0, 0.0)
     u_h = u_from_h(_tanh_neg_log_field(1.0, 0.0))
     worst = 0.0
     # sampled away from the zero line of tanh(xy), where h = -ln B_s
@@ -624,13 +624,9 @@ def _run_tanh_ufromh(seed: int) -> ResidualReport:
         x = rng.uniform(0.5, 2.0)
         y = rng.uniform(0.5, 2.0)
         worst = max(worst, abs(u_h(x, y) - u_closed(x, y)))
-    detail = {"max_residual": worst, "tolerance": 1e-8, "points": 100,
-              "region": [[0.5, 2.0], [0.5, 2.0]]}
-    verdict = "pass" if worst <= 1e-8 else "fail"
-    return ResidualReport(
-        check_name=name, mode="numeric", verdict=verdict, detail=detail,
-        params={"C1": "1", "C2": "0"}, seed=seed,
-    )
+    return _numeric_report(name, worst, 1e-8,
+                           {"points": 100, "region": [[0.5, 2.0], [0.5, 2.0]]},
+                           {"C1": "1", "C2": "0"}, seed)
 
 
 def _run_ufromh_b0(seed: int) -> ResidualReport:
@@ -642,12 +638,8 @@ def _run_ufromh_b0(seed: int) -> ResidualReport:
     for x, y in ((1.0, 2.0), (2.0, 1.0), (0.5, 0.5), (3.0, 4.0), (1.5, -0.5)):
         # all sample points sit where B_0 = x/(x^2+y^2+1) is positive
         worst = max(worst, abs(u_h(x, y) - u_closed.eval_float(x, y)))
-    detail = {"max_residual": worst, "tolerance": 1e-10, "points": 5}
-    verdict = "pass" if worst <= 1e-10 else "fail"
-    return ResidualReport(
-        check_name=name, mode="numeric", verdict=verdict, detail=detail,
-        params=_params_text(DEFAULT_PARAMS["B0"]), seed=seed,
-    )
+    return _numeric_report(name, worst, 1e-10, {"points": 5},
+                           _params_text(DEFAULT_PARAMS["B0"]), seed)
 
 
 def _run_spot_values(seed: int) -> ResidualReport:
@@ -688,9 +680,7 @@ _DECAY_EXPONENT = {"b0": -4.0, "b1": -6.0, "b2": -8.0, "b3": -10.0}
 def _run_decay(key: str, seed: int) -> ResidualReport:
     name = f"decay:{key}"
     tag = FAMILY_KEYS[key]
-    params = (PRESETS["tsarev-1"].params if key == "b1"
-              else PRESETS["tsarev-2"].params if key == "b2"
-              else DEFAULT_PARAMS[tag])
+    params = DEFAULT_PARAMS[tag]
     u = closed_potential(tag, params).u
     theta = 0.7
     radii = (1e2, 1e3, 1e4)
@@ -703,22 +693,15 @@ def _run_decay(key: str, seed: int) -> ResidualReport:
     ]
     expected = _DECAY_EXPONENT[key]
     worst = max(abs(s - expected) for s in slopes)
-    detail = {"max_residual": worst, "tolerance": 0.1, "slopes": slopes,
-              "expected": expected, "radii": list(radii)}
-    verdict = "pass" if worst <= 0.1 else "fail"
-    return ResidualReport(
-        check_name=name, mode="numeric", verdict=verdict, detail=detail,
-        params=_params_text(params), seed=seed,
-    )
+    detail = {"slopes": slopes, "expected": expected, "radii": list(radii)}
+    return _numeric_report(name, worst, 0.1, detail, _params_text(params), seed)
 
 
 def _run_smooth(key: str, seed: int) -> ResidualReport:
     """Exact positivity margin of the potential denominator on a lattice."""
     name = f"smooth:{key}"
     tag = FAMILY_KEYS[key]
-    params = (PRESETS["tsarev-1"].params if key == "b1"
-              else PRESETS["tsarev-2"].params if key == "b2"
-              else DEFAULT_PARAMS[tag])
+    params = DEFAULT_PARAMS[tag]
     u = closed_potential(tag, params).u
     C = params["C"]
     bound = C * C
@@ -817,27 +800,16 @@ def _run_fd_order(seed: int) -> ResidualReport:
     name = "fd:order"
     sol = build_family("B0", DEFAULT_PARAMS["B0"])
     u = closed_potential("B0", DEFAULT_PARAMS["B0"]).u
-    Yc = _ratfn_closure(sol.B)
-    uc = _ratfn_closure(u)
-    coarse = fd_residual(uc, Yc, GridSpec((-2.0, 2.0), (-2.0, 2.0), 401, 401),
-                         order=4, tol=math.inf)
-    fine = fd_residual(uc, Yc, GridSpec((-2.0, 2.0), (-2.0, 2.0), 801, 801),
-                       order=4, tol=math.inf)
-    r1 = coarse.detail["max_residual"]
-    r2 = fine.detail["max_residual"]
-    exponent = math.log2(r1 / r2)
-    detail = {
-        "max_residual": abs(exponent - 4.0),
-        "tolerance": 0.3,
-        "exponent": exponent,
-        "coarse_residual": r1,
-        "fine_residual": r2,
-    }
-    verdict = "pass" if abs(exponent - 4.0) <= 0.3 else "fail"
-    return ResidualReport(
-        check_name=name, mode="numeric", verdict=verdict, detail=detail,
-        params=_params_text(DEFAULT_PARAMS["B0"]), seed=seed,
+    r1, r2 = (
+        fd_residual(u.eval_float, sol.B.eval_float,
+                    GridSpec((-2.0, 2.0), (-2.0, 2.0), n, n), order=4, tol=math.inf)
+        .detail["max_residual"]
+        for n in (401, 801)
     )
+    exponent = math.log2(r1 / r2)
+    detail = {"exponent": exponent, "coarse_residual": r1, "fine_residual": r2}
+    return _numeric_report(name, abs(exponent - 4.0), 0.3, detail,
+                           _params_text(DEFAULT_PARAMS["B0"]), seed)
 
 
 # -- registry ---------------------------------------------------------------

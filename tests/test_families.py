@@ -1,8 +1,10 @@
 """Family builder tests."""
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from darboux2d import families
@@ -12,7 +14,6 @@ from darboux2d.families import (
     FAMILY_KEYS,
     FAMILY_TAGS,
     PRESETS,
-    TanhSolution,
     build_B0,
     build_B1,
     build_B2,
@@ -117,9 +118,22 @@ def test_family_tags_and_dispatch():
 
 def test_tanh_solution_validation():
     with pytest.raises(ValueError):
-        TanhSolution(C1=0, C2=0)
-    with pytest.raises(ValueError):
         build_tanh(0, 0)
+
+
+def test_tanh_closures_take_arrays():
+    C1, C2 = 1.5, 0.25
+    B_s, u = build_tanh(C1, C2)
+    xs = np.linspace(-3.0, 3.0, 61)
+    ys = np.linspace(-2.0, 2.0, 41)[:, None]
+    B_grid, u_grid = B_s(xs, ys), u(xs, ys)
+    assert B_grid.shape == u_grid.shape == (41, 61)
+    for i, y in enumerate(ys[:, 0]):
+        for j, x in enumerate(xs):
+            t = (x * y - C2) / C1
+            assert B_grid[i, j] == pytest.approx(math.tanh(t), rel=1e-15, abs=1e-15)
+            u_closed = -2.0 / C1**2 * (x * x + y * y) / math.cosh(t) ** 2
+            assert u_grid[i, j] == pytest.approx(u_closed, rel=1e-15, abs=1e-15)
 
 
 def test_tanh_values_and_overflow_safety():
@@ -132,6 +146,10 @@ def test_tanh_values_and_overflow_safety():
     assert B_s(-50.0, 50.0) == -1.0
     assert u(1000.0, 1000.0) == 0.0
     assert math.isfinite(u(30.0, 30.0))
+    # inf * 0 past float range is nan, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(u(1e200, 1.0))
 
 
 def test_tanh_potential_scaling():

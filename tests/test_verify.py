@@ -5,9 +5,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from darboux2d import families
+from darboux2d import darboux, families
 from darboux2d.cli import main
 from darboux2d.darboux import TransformOutput, potential_from_B, transform_solution
 from darboux2d.families import build_family, build_tanh, closed_potential
@@ -17,6 +18,7 @@ from darboux2d.verify import (
     ALL_TARGETS,
     GridSpec,
     ResidualReport,
+    _sample,
     check_eq12,
     check_new_potential_system,
     check_potential_system,
@@ -157,6 +159,18 @@ def _b0_closures():
     return (lambda x, y: u.eval_float(x, y)), (lambda x, y: B.eval_float(x, y))
 
 
+def test_sample_rows_match_pointwise_eval():
+    B = build_family("B0", B0_PARAMS).B
+    u = closed_potential("B0", {"x0": 0, "y0": 0, "C": 1}).u
+    xs, ys = GridSpec((-2.0, 2.0), (-2.0, 2.0), nx=41, ny=41).axes()
+    for f in (B, u):
+        oracle = np.empty((len(ys), len(xs)))
+        for i, y in enumerate(ys):
+            for j, x in enumerate(xs):
+                oracle[i, j] = f.eval_float(float(x), float(y))
+        assert _sample(f.eval_float, xs, ys).tobytes() == oracle.tobytes()
+
+
 def test_fd_residual_orders():
     uc, Yc = _b0_closures()
     grid = GridSpec((-2.0, 2.0), (-2.0, 2.0), nx=101, ny=101)
@@ -186,6 +200,19 @@ def test_fd_residual_exclusions_and_nonfinite():
                     GridSpec((-0.1, 0.1), (-0.1, 0.1), nx=7, ny=7,
                              exclusion_radius=10.0),
                     order=2, singular_points=[(0.0, 0.0)])
+
+
+def test_transform_target_fails_on_broken_operator(monkeypatch):
+    # the suite's w residual is the one check of W~ = B Y~
+    real = darboux._apply_LD_with
+
+    def off_by_one(*args):
+        W, Q = real(*args)
+        return W + 1, Q
+
+    monkeypatch.setattr(darboux, "_apply_LD_with", off_by_one)
+    (rep,) = run_suite(["transform:b0"], 7)
+    assert rep.verdict == "fail"
 
 
 def test_run_suite_is_deterministic():
