@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,10 +46,6 @@ from darboux2d.polyrat import (
 )
 from darboux2d.verify import check_schrodinger, run_suite, targets_for_family
 
-_RATIONAL_KEYS = {
-    "p0", "q0", "p1", "q1", "x0", "y0", "x1", "y1", "x2", "y2", "C",
-}
-
 
 class CliError(Exception):
     """Config/usage failure carrying a machine-readable error type."""
@@ -58,22 +53,6 @@ class CliError(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    family: str | None = None
-    params: dict | None = None
-    x_axis: tuple[float, float, int] | None = None
-    y_axis: tuple[float, float, int] | None = None
-    out: str | None = None
-    format: str = "csv"
-    seed: int = 0
-    targets: tuple[str, ...] | None = None
-    field: str = "u"
-    seed_kind: str | None = None
-    degree: int | None = None
 
 
 def _parse_axis(text: str) -> tuple[float, float, int]:
@@ -135,26 +114,25 @@ def _coerce_params(family: str, raw: dict) -> dict:
                     "invalid-params", "weights_choice must be a list of 2 or 6 rationals"
                 )
             params[key] = tuple(_coerce_rational(key, v) for v in value)
-        elif key in _RATIONAL_KEYS:
-            params[key] = _coerce_rational(key, value)
         else:
-            raise CliError("invalid-params", f"unknown parameter {key!r}")
+            # a key the family does not take is rejected by `build_family`
+            params[key] = _coerce_rational(key, value)
     return params
 
 
 def _rational_instance(family: str, params: dict):
     """(RationalSolution, closed potential) for a family key or preset name."""
     if family in PRESETS:
+        tag = PRESETS[family].family_tag
+        merged = {**PRESETS[family].params, **params}
         sol = build_preset(family, **params)
     elif family in FAMILY_KEYS:
         tag = FAMILY_KEYS[family]
-        merged = dict(DEFAULT_PARAMS[tag])
-        merged.update(params)
+        merged = {**DEFAULT_PARAMS[tag], **params}
         sol = build_family(tag, merged)
     else:
         raise CliError("invalid-params", f"unknown family {family!r}")
-    closed = closed_potential(sol.family_tag, sol.pole_params())
-    return sol, closed
+    return sol, closed_potential(tag, merged)
 
 
 def _tanh_constants(params: dict) -> tuple[float, float]:
@@ -180,20 +158,20 @@ def _write_out(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_build(config: CliConfig) -> int:
-    family = config.family
-    raw = config.params or {}
+def cmd_build(args: argparse.Namespace) -> int:
+    family = args.family
+    raw = _load_params(args.params)
     if family == "tanh":
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
         b_text = f"B_s = tanh((x*y - {C2:g})/{C1:g})"
         u_text = (f"u = -2*(x^2 + y^2)/({C1:g}^2*cosh((x*y - {C2:g})/{C1:g})^2)")
-        if config.format == "json":
+        if args.format == "json":
             payload = {"family": "tanh", "B": b_text[len("B_s = "):],
                        "u": u_text[len("u = "):],
                        "constants": {"C1": f"{C1:g}", "C2": f"{C2:g}"}}
-            _write_out(json.dumps(payload, sort_keys=True), config.out)
+            _write_out(json.dumps(payload, sort_keys=True), args.out)
         else:
-            _write_out("\n".join(["family: tanh", b_text, u_text]), config.out)
+            _write_out("\n".join(["family: tanh", b_text, u_text]), args.out)
         return 0
     sol, closed = _rational_instance(family, _coerce_params(family, raw))
     lines = [f"family: {family}"]
@@ -203,7 +181,7 @@ def cmd_build(config: CliConfig) -> int:
     lines.append(f"u = {ratfn_to_str(closed.u)}")
     for key in sorted(closed.constants):
         lines.append(f"{key} = {closed.constants[key]}")
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "family": family,
             "preset": sol.preset,
@@ -211,27 +189,25 @@ def cmd_build(config: CliConfig) -> int:
             "u": ratfn_to_str(closed.u),
             "constants": {k: str(v) for k, v in sorted(closed.constants.items())},
         }
-        _write_out(json.dumps(payload, sort_keys=True), config.out)
+        _write_out(json.dumps(payload, sort_keys=True), args.out)
     else:
-        _write_out("\n".join(lines), config.out)
+        _write_out("\n".join(lines), args.out)
     return 0
 
 
-def cmd_verify(config: CliConfig) -> int:
-    if config.targets:
-        targets = list(config.targets)
-    else:
-        family = config.family or "all"
+def cmd_verify(args: argparse.Namespace) -> int:
+    targets = [t.strip() for t in (args.targets or "").split(",") if t.strip()]
+    if not targets:
         try:
-            targets = targets_for_family(family)
+            targets = targets_for_family(args.family or "all")
         except ValueError as exc:
             raise CliError("invalid-params", str(exc)) from None
     try:
-        reports = run_suite(targets, config.seed)
+        reports = run_suite(targets, args.seed)
     except ValueError as exc:
         raise CliError("invalid-params", str(exc)) from None
     payload = json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2)
-    _write_out(payload, config.out)
+    _write_out(payload, args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -247,41 +223,40 @@ def _seed_pair(kind: str, degree: int | None) -> HarmonicPair:
     return HarmonicPair(Y=Y, Q=conjugate(Y))
 
 
-def cmd_transform(config: CliConfig) -> int:
-    family = config.family
+def cmd_transform(args: argparse.Namespace) -> int:
+    family = args.family
+    raw = _load_params(args.params)
     if family == "tanh":
         raise CliError("invalid-params",
                        "transform needs a rational family (b0..b3 or a preset)")
-    sol, _ = _rational_instance(family, _coerce_params(family, config.params or {}))
-    pair = _seed_pair(config.seed_kind or "const", config.degree)
+    sol, _ = _rational_instance(family, _coerce_params(family, raw))
+    pair = _seed_pair(args.seed_kind, args.degree)
     out = transform_solution(sol.B, pair)
     report = check_schrodinger(out.Y_tilde, potential_from_B(sol.B))
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "family": family,
-            "seed_kind": config.seed_kind or "const",
-            "degree": config.degree,
+            "seed_kind": args.seed_kind,
+            "degree": args.degree,
             "Y_tilde": ratfn_to_str(out.Y_tilde),
             "schrodinger": report.verdict,
         }
-        _write_out(json.dumps(payload, sort_keys=True), config.out)
+        _write_out(json.dumps(payload, sort_keys=True), args.out)
     else:
         _write_out(
             f"Y_tilde = {ratfn_to_str(out.Y_tilde)}\nschrodinger: {report.verdict}",
-            config.out,
+            args.out,
         )
     return 0 if report.passed else 1
 
 
-def _field_closure(config: CliConfig) -> Callable[[float, float], float]:
-    family = config.family
-    raw = config.params or {}
+def _field_closure(family: str, field: str, raw: dict) -> Callable[[float, float], float]:
     if family == "tanh":
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
         B_s, u = build_tanh(C1, C2)
-        return B_s if config.field == "B" else u
+        return B_s if field == "B" else u
     sol, closed = _rational_instance(family, _coerce_params(family, raw))
-    target = sol.B if config.field == "B" else closed.u
+    target = sol.B if field == "B" else closed.u
 
     def sample(x: float, y: float) -> float:
         # exact rational evaluation at the (exactly representable) grid
@@ -292,10 +267,11 @@ def _field_closure(config: CliConfig) -> Callable[[float, float], float]:
     return sample
 
 
-def cmd_grid(config: CliConfig) -> int:
-    f = _field_closure(config)
-    x_lo, x_hi, nx = config.x_axis
-    y_lo, y_hi, ny = config.y_axis
+def cmd_grid(args: argparse.Namespace) -> int:
+    raw = _load_params(args.params)
+    x_lo, x_hi, nx = _parse_axis(args.x)
+    y_lo, y_hi, ny = _parse_axis(args.y)
+    f = _field_closure(args.family, args.field, raw)
     xs = [x_lo + (x_hi - x_lo) * i / (nx - 1) if nx > 1 else x_lo for i in range(nx)]
     ys = [y_lo + (y_hi - y_lo) * j / (ny - 1) if ny > 1 else y_lo for j in range(ny)]
     nonfinite = 0
@@ -315,7 +291,7 @@ def cmd_grid(config: CliConfig) -> int:
     def fmt(v: float) -> str:
         return format(v, ".17g")
 
-    if config.format == "json":
+    if args.format == "json":
         body = ",\n".join(
             f"[{fmt(x)}, {fmt(y)}, {fmt(v) if v is not None else 'null'}]"
             for x, y, v in rows
@@ -326,7 +302,7 @@ def cmd_grid(config: CliConfig) -> int:
         for x, y, v in rows:
             lines.append(f"{fmt(x)},{fmt(y)},{fmt(v) if v is not None else ''}")
         text = "\n".join(lines)
-    _write_out(text, config.out)
+    _write_out(text, args.out)
     print(json.dumps({"points": len(rows), "nonfinite": nonfinite}), file=sys.stderr)
     return 0
 
@@ -379,28 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    kwargs = {
-        "subcommand": args.subcommand,
-        "out": getattr(args, "out", None),
-        "format": getattr(args, "format", "csv"),
-        "seed": getattr(args, "seed", 0),
-        "family": getattr(args, "family", None),
-    }
-    if getattr(args, "params", None) is not None:
-        kwargs["params"] = _load_params(args.params)
-    if getattr(args, "targets", None):
-        kwargs["targets"] = tuple(t.strip() for t in args.targets.split(",") if t.strip())
-    if args.subcommand == "grid":
-        kwargs["x_axis"] = _parse_axis(args.x)
-        kwargs["y_axis"] = _parse_axis(args.y)
-        kwargs["field"] = args.field
-    if args.subcommand == "transform":
-        kwargs["seed_kind"] = args.seed_kind
-        kwargs["degree"] = args.degree
-    return CliConfig(**kwargs)
-
-
 _DISPATCH = {
     "build": cmd_build,
     "verify": cmd_verify,
@@ -433,8 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.subcommand](config)
+        return _DISPATCH[args.subcommand](args)
     except CliError as exc:
         print(json.dumps({"error": exc.kind, "message": str(exc)}), file=sys.stderr)
         return 2

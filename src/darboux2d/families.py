@@ -22,20 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
 import numpy as np
 
 from darboux2d.harmonic import (
     PoleConfig,
     _pole_factor,
-    _pole_numerator,
     harmonic_basis,
     laplace_constrained_numerator,
     pole_sum,
 )
 from darboux2d.polyrat import (
-    ONE,
     X,
     Y,
     BiPoly,
@@ -48,8 +46,6 @@ from darboux2d.polyrat import (
 # family key (as the CLI and the suite name it) -> family tag
 FAMILY_KEYS = {"b0": "B0", "b1": "B1", "b2": "B2", "b3": "B3"}
 FAMILY_TAGS = tuple(FAMILY_KEYS.values())
-
-PotentialFn = Union[RatFn, Callable[[float, float], float]]
 
 
 @dataclass(frozen=True)
@@ -71,28 +67,22 @@ class RationalSolution:
         if self.family_tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.family_tag!r}")
 
-    def pole_params(self) -> dict[str, Fraction]:
-        """``C`` and pole ``i`` as ``x<i>``, ``y<i>``: what `closed_potential` reads."""
-        params = {"C": self.config.C}
-        for i, (x, y) in enumerate(self.config.poles):
-            params[f"x{i}"], params[f"y{i}"] = x, y
-        return params
-
 
 @dataclass(frozen=True)
 class ClosedPotential:
-    """A transcribed closed-form potential.
+    """A transcribed closed-form potential of a rational family.
 
-    ``u`` is an exact RatFn for the rational families and a plain numeric
-    closure (analytically evaluated, not finite-differenced) for the tanh
-    family.  ``constants`` records the derived combinations appearing in the
+    ``u`` is exact.  Its denominator ``(M + C)^2`` is built as the factor
+    ``M + C`` with exponent -2, the factor ``potential_from_B`` also
+    produces, so their difference keeps it as a factor.
+    ``constants`` records the derived combinations appearing in the
     closed forms (k_1..k_6 for the three-pole family, m_1..m_4 for the
     confluent one); they are computed from the pole coordinates, never taken
     as independent inputs.
     """
 
     family_tag: str
-    u: PotentialFn
+    u: RatFn
     constants: dict[str, Fraction] = field(default_factory=dict)
 
 
@@ -313,7 +303,7 @@ def _need(params: Mapping[str, Scalar], *keys: str) -> list[Fraction]:
 
 
 def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPotential:
-    """Transcribed closed-form potential for a family.
+    """Transcribed closed-form potential for a rational family.
 
     These expressions are written down directly, *not* derived by
     differentiating B; the exact agreement of the two routes is one of the
@@ -323,8 +313,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         x0, y0, C = _need(params, "x0", "y0", "C")
         _require_positive_C(C)
         den = (X - x0) ** 2 + (Y - y0) ** 2 + BiPoly.const(C)
-        u = RatFn(BiPoly.const(-8 * C), den * den)
-        return ClosedPotential(family_tag="B0", u=u)
+        return ClosedPotential(family_tag="B0", u=RatFn(BiPoly.const(-8 * C), den) / den)
 
     if family_tag == "B1":
         x0, y0, x1, y1, C = _need(params, "x0", "y0", "x1", "y1", "C")
@@ -335,7 +324,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         num = -32 * C * ((X - cx) ** 2 + (Y - cy) ** 2)
         M = ((X - x0) ** 2 + (Y - y0) ** 2) * ((X - x1) ** 2 + (Y - y1) ** 2)
         den = M + BiPoly.const(C)
-        return ClosedPotential(family_tag="B1", u=RatFn(num, den * den))
+        return ClosedPotential(family_tag="B1", u=RatFn(num, den) / den)
 
     if family_tag == "B2":
         x1, y1, x2, y2, C = _need(params, "x1", "y1", "x2", "y2", "C")
@@ -365,7 +354,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
             * ((X - x2) ** 2 + (Y - y2) ** 2)
         )
         den = M + BiPoly.const(C)
-        return ClosedPotential(family_tag="B2", u=RatFn(-8 * C * G, den * den), constants=k)
+        return ClosedPotential(family_tag="B2", u=RatFn(-8 * C * G, den) / den, constants=k)
 
     if family_tag == "B3":
         x1, y1, C = _need(params, "x1", "y1", "C")
@@ -381,14 +370,8 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         M = (X**2 + Y**2) ** 3 * ((X - x1) ** 2 + (Y - y1) ** 2)
         den = M + BiPoly.const(C)
         return ClosedPotential(
-            family_tag="B3", u=RatFn(num, den * den), constants=_m_constants(x1, y1)
+            family_tag="B3", u=RatFn(num, den) / den, constants=_m_constants(x1, y1)
         )
-
-    if family_tag == "tanh":
-        C1 = float(params.get("C1", 0))
-        C2 = float(params.get("C2", 0))
-        _, u = build_tanh(C1, C2)
-        return ClosedPotential(family_tag="tanh", u=u)
 
     raise ValueError(f"unknown family tag {family_tag!r}")
 
@@ -512,22 +495,30 @@ DEFAULT_PARAMS: dict[str, dict] = {
 }
 
 
+# family tag -> (builder, the keys it takes in argument order)
+_BUILDERS = {
+    "B0": (build_B0, ("p0", "q0", "x0", "y0", "C")),
+    "B1": (build_B1, ("p0", "q0", "x0", "y0", "x1", "y1", "C")),
+    "B2": (build_B2, ("weights_choice", "x1", "y1", "x2", "y2", "C")),
+    "B3": (build_B3, ("p1", "q1", "x1", "y1", "C")),
+}
+
+
 def build_family(family_tag: str, params: Mapping[str, Scalar]) -> RationalSolution:
-    """Dispatch to the family builders from a flat parameter mapping."""
-    if family_tag == "B0":
-        p0, q0, x0, y0, C = _need(params, "p0", "q0", "x0", "y0", "C")
-        return build_B0(p0, q0, x0, y0, C)
-    if family_tag == "B1":
-        p0, q0, x0, y0, x1, y1, C = _need(params, "p0", "q0", "x0", "y0", "x1", "y1", "C")
-        return build_B1(p0, q0, x0, y0, x1, y1, C)
+    """Dispatch to the family builders from a flat parameter mapping.
+
+    Every key a builder takes is required, except B2's ``weights_choice``,
+    which defaults to (1, 0); any other key is an error.
+    """
+    if family_tag not in _BUILDERS:
+        raise ValueError(f"unknown family tag {family_tag!r}")
+    build, keys = _BUILDERS[family_tag]
+    for key in params:
+        if key not in keys:
+            raise ValueError(f"unknown parameter {key!r}")
     if family_tag == "B2":
-        x1, y1, x2, y2, C = _need(params, "x1", "y1", "x2", "y2", "C")
-        choice = params.get("weights_choice", (1, 0))
-        return build_B2(choice, x1, y1, x2, y2, C)
-    if family_tag == "B3":
-        p1, q1, x1, y1, C = _need(params, "p1", "q1", "x1", "y1", "C")
-        return build_B3(p1, q1, x1, y1, C)
-    raise ValueError(f"unknown family tag {family_tag!r}")
+        return build(params.get("weights_choice", (1, 0)), *_need(params, *keys[1:]))
+    return build(*_need(params, *keys))
 
 
 def build_preset(name: str, **extra) -> RationalSolution:

@@ -19,7 +19,6 @@ fraction-free Gaussian elimination and returned as a canonically scaled basis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,23 +70,6 @@ class PoleConfig:
             )
         if len(set(self.poles)) != len(self.poles):
             raise ValueError("poles must be pairwise distinct")
-
-    def to_json(self) -> str:
-        payload = {
-            "poles": [[str(x), str(y)] for x, y in self.poles],
-            "weights": [[str(p), str(q)] for p, q in self.weights],
-            "C": str(self.C),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PoleConfig":
-        payload = json.loads(text)
-        return cls(
-            poles=tuple((Fraction(x), Fraction(y)) for x, y in payload["poles"]),
-            weights=tuple((Fraction(p), Fraction(q)) for p, q in payload["weights"]),
-            C=Fraction(payload["C"]),
-        )
 
 
 @dataclass(frozen=True)

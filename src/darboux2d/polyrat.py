@@ -722,7 +722,11 @@ class RatFn:
     def eval_float(self, x, y):
         num, den = self.poly.eval_float(x, y), 1.0
         for f, e in self.factors:
-            v = f.eval_float(x, y) ** abs(e)
+            # powers by repeated products, not `**`: a float goes through
+            # libm pow and an array through numpy, which round differently
+            base = v = f.eval_float(x, y)
+            for _ in range(abs(e) - 1):
+                v = v * base
             if e > 0:
                 num = num * v
             else:
@@ -784,47 +788,13 @@ def _lift(poly: BiPoly, factors: list[tuple[BiPoly, int]]) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# functional surface
+# functional surface: the operations the checks name; arithmetic and
+# derivatives are the operators and `diff` methods above
 # ---------------------------------------------------------------------------
-
-_POLY_OPS = ("add", "sub", "mul")
-_RATFN_OPS = ("add", "sub", "mul", "div")
-
-
-def poly_arith(a: BiPoly, b: BiPoly, op: str) -> BiPoly:
-    """Ring operation on polynomials; ``op`` is one of add/sub/mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"op must be one of {_POLY_OPS}, got {op!r}")
-
-
-def poly_diff(p: BiPoly, var: str) -> BiPoly:
-    return p.diff(var)
 
 
 def laplacian_poly(p: BiPoly) -> BiPoly:
     return p.diff("x").diff("x") + p.diff("y").diff("y")
-
-
-def ratfn_arith(a: RatFn, b: RatFn, op: str) -> RatFn:
-    """Field operation on rational functions; ``op`` is one of add/sub/mul/div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"op must be one of {_RATFN_OPS}, got {op!r}")
-
-
-def ratfn_diff(f: RatFn, var: str) -> RatFn:
-    return f.diff(var)
 
 
 def laplacian_ratfn(f: RatFn) -> RatFn:

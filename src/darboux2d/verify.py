@@ -46,6 +46,7 @@ from darboux2d.families import (
 )
 from darboux2d.harmonic import harmonic_basis, laplace_constrained_numerator
 from darboux2d.polyrat import (
+    X,
     ExponentCapError,
     RatFn,
     laplacian_ratfn,
@@ -98,15 +99,12 @@ class GridSpec:
     y_range: tuple[float, float]
     nx: int
     ny: int
-    exclusion_radius: float = 0.0
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grids need at least two points per axis")
         if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):
             raise ValueError("grid ranges must be nondegenerate")
-        if self.exclusion_radius < 0:
-            raise ValueError("exclusion radius must be non-negative")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -147,7 +145,7 @@ def _exact_report(
     )
 
 
-def check_eq12(B: RatFn, name: str = "eq12", params: dict | None = None) -> ResidualReport:
+def check_eq12(B: RatFn) -> ResidualReport:
     """Zero-test both closure-system expressions for B.
 
     Each residual is plain rational-function algebra in B and its
@@ -172,32 +170,23 @@ def check_eq12(B: RatFn, name: str = "eq12", params: dict | None = None) -> Resi
 
     e1 = residual(By, Bx, 1, lap.diff("x"))
     e2 = residual(Bx, By, -1, lap.diff("y"))
-    return _exact_report(name, [e1, e2], params=params)
+    return _exact_report("eq12", [e1, e2])
 
 
-def check_schrodinger(
-    Y: RatFn, u: RatFn, name: str = "schrodinger", params: dict | None = None
-) -> ResidualReport:
+def check_schrodinger(Y: RatFn, u: RatFn) -> ResidualReport:
     """Zero-test Y_xx + Y_yy - u Y."""
-    return _exact_report(name, [laplacian_ratfn(Y) - u * Y], params=params)
+    return _exact_report("schrodinger", [laplacian_ratfn(Y) - u * Y])
 
 
-def check_potential_system(
-    pair: tuple[RatFn, RatFn], name: str = "potential-system", params: dict | None = None
-) -> ResidualReport:
+def check_potential_system(pair: tuple[RatFn, RatFn]) -> ResidualReport:
     """Zero-test W_x - Q_y and W_y + Q_x for a pair (W, Q)."""
     W, Q = pair
     r1 = W.diff("x") - Q.diff("y")
     r2 = W.diff("y") + Q.diff("x")
-    return _exact_report(name, [r1, r2], params=params)
+    return _exact_report("potential-system", [r1, r2])
 
 
-def check_new_potential_system(
-    B: RatFn,
-    out: TransformOutput,
-    name: str = "new-potential-system",
-    params: dict | None = None,
-) -> ResidualReport:
+def check_new_potential_system(B: RatFn, out: TransformOutput) -> ResidualReport:
     """Zero-test the transformed potential equations.
 
     With the transformed scalar h = -ln B the pair (W~, Q~) must satisfy
@@ -211,7 +200,7 @@ def check_new_potential_system(
     gy = 2 * (B.diff("y") / B)
     r1 = W.diff("x") - gx * W - Q.diff("y")
     r2 = W.diff("y") - gy * W + Q.diff("x")
-    return _exact_report(name, [r1, r2], params=params)
+    return _exact_report("new-potential-system", [r1, r2])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +258,6 @@ def fd_residual(
     Y: NumFn,
     grid: GridSpec,
     order: int = 4,
-    singular_points: Sequence[tuple[float, float]] = (),
     tol: float = 1e-6,
     name: str = "fd-residual",
     params: dict | None = None,
@@ -281,9 +269,9 @@ def fd_residual(
     over arrays (`RatFn.eval_float` does).  Rows rather than the whole grid
     keep memory to a few rows of intermediates.
 
-    Points within `grid.exclusion_radius` of any declared singular point are
-    skipped, as are points where either field fails to be finite; the skipped
-    count is reported.  Raises if nothing remains.
+    Points where the residual is not finite (a pole of either field, an
+    overflow) are skipped and counted in ``skipped_points``.  Raises if no
+    point remains.
     """
     margin = 1 if order == 2 else 2
     xs, ys = grid.axes()
@@ -297,13 +285,9 @@ def fd_residual(
         residual = np.abs(lap - Uv[inner] * Fv[inner])
 
     keep = np.isfinite(residual)
-    if grid.exclusion_radius > 0 and singular_points:
-        XX, YY = np.meshgrid(xs[margin:-margin], ys[margin:-margin], indexing="xy")
-        for sx, sy in singular_points:
-            keep &= (XX - sx) ** 2 + (YY - sy) ** 2 >= grid.exclusion_radius**2
     skipped = int(residual.size - keep.sum())
     if not keep.any():
-        raise ValueError("every grid point was excluded")
+        raise ValueError("no grid point has a finite residual")
     detail = {
         "order": order,
         "grid": {
@@ -442,8 +426,6 @@ def _run_eq12_harmonic(seed: int) -> ResidualReport:
 
 def _run_eq12_counterexample(seed: int) -> ResidualReport:
     name = "eq12:counterexample"
-    from darboux2d.polyrat import X
-
     inner = check_eq12(RatFn.from_poly(X * X))
     verdict = "pass" if inner.verdict == "fail" else "fail"
     detail = {
@@ -667,11 +649,7 @@ def _run_spot_values(seed: int) -> ResidualReport:
         "verdict": "pass" if val3 == 0 else "fail",
         "value": str(val3),
     })
-    verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
-    return ResidualReport(
-        check_name=name, mode="exact", verdict=verdict,
-        detail={"cases": cases, "residual_terms": 0}, seed=seed,
-    )
+    return _aggregate(name, "exact", cases, seed)
 
 
 _DECAY_EXPONENT = {"b0": -4.0, "b1": -6.0, "b2": -8.0, "b3": -10.0}
@@ -788,11 +766,7 @@ def _run_dim(key: str, seed: int) -> ResidualReport:
                 "dimension": len(basis),
                 "verdict": "pass" if len(basis) == 2 else "fail",
             })
-    verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
-    return ResidualReport(
-        check_name=name, mode="exact", verdict=verdict,
-        detail={"cases": cases, "residual_terms": 0}, seed=seed,
-    )
+    return _aggregate(name, "exact", cases, seed)
 
 
 def _run_fd_order(seed: int) -> ResidualReport:

@@ -61,6 +61,18 @@ def test_build_unknown_family_exits_2(capsys):
     assert "error" in json.loads(err.strip())
 
 
+@pytest.mark.parametrize("family, params, key", [
+    ("b0", '{"x2":"5"}', "x2"),
+    ("b0", '{"zz":"1"}', "zz"),
+    ("tsarev-1", '{"weights_choice":["1","0"]}', "weights_choice"),
+])
+def test_build_rejects_params_the_family_does_not_read(capsys, family, params, key):
+    code, out, err = run_cli(capsys, "build", "--family", family, "--params", params)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid-params",
+                               "message": f"unknown parameter {key!r}"}
+
+
 def test_build_rejects_float_rational_param(capsys):
     code, _, err = run_cli(capsys, "build", "--family", "b0",
                            "--params", '{"C": 0.5}')

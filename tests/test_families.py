@@ -200,11 +200,21 @@ def test_builder_guards_raise_on_bad_numerator(monkeypatch, build, message):
         build()
 
 
-def test_pole_params_feed_the_closed_potential():
-    sol = build_preset("tsarev-2")
-    assert sol.pole_params() == {
-        "C": sol.config.C, "x0": 0, "y0": 0,
-        **{k: PRESETS["tsarev-2"].params[k] for k in ("x1", "y1", "x2", "y2")},
-    }
-    u = closed_potential("B3", build_B3(1, 0, 1, 1, 1).pole_params()).u
-    assert (u - closed_potential("B3", DEFAULT_PARAMS["B3"]).u).is_zero()
+def test_build_family_rejects_keys_its_builder_does_not_take():
+    with pytest.raises(ValueError, match="unknown parameter 'x2'"):
+        build_family("B0", {**DEFAULT_PARAMS["B0"], "x2": 5})
+    with pytest.raises(ValueError, match="unknown parameter 'weights_choice'"):
+        build_preset("tsarev-1", weights_choice=(1, 0))
+    assert build_family("B2", {**DEFAULT_PARAMS["B2"], "weights_choice": (0, 1)}).B
+
+
+def test_closed_potential_shares_the_pipeline_denominator():
+    # the closed form keeps M + C as one factor squared, so its residual
+    # against lap(B)/B has denominator B.den^2 * B.num, not a cross product
+    for tag, degree in (("B0", 5), ("B1", 10), ("B2", 15), ("B3", 20)):
+        params = DEFAULT_PARAMS[tag]
+        u = closed_potential(tag, params).u
+        assert [e for _, e in u.factors] == [-2]
+        residual = potential_from_B(build_family(tag, params).B) - u
+        assert residual.is_zero()
+        assert sum(-e * f.total_degree() for f, e in residual.factors if e < 0) == degree

@@ -74,17 +74,6 @@ def test_pole_config_validation():
         PoleConfig(poles=[], weights=[], C=1)
 
 
-def test_pole_config_json_round_trip():
-    cfg = PoleConfig(
-        poles=[(0, 0), (Fraction(-8, 17), Fraction(-2, 17))],
-        weights=[(1, 0), (-1, 0)],
-        C=Fraction(160, 17),
-    )
-    again = PoleConfig.from_json(cfg.to_json())
-    assert again == cfg
-    assert again.C == Fraction(160, 17)
-
-
 def test_pole_sum_two_pole_example():
     cfg = PoleConfig(poles=[(0, 0), (1, 0)], weights=[(1, 0), (0, 1)], C=0)
     N, M = pole_sum(cfg)

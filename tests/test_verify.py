@@ -11,7 +11,7 @@ import pytest
 from darboux2d import darboux, families
 from darboux2d.cli import main
 from darboux2d.darboux import TransformOutput, potential_from_B, transform_solution
-from darboux2d.families import build_family, build_tanh, closed_potential
+from darboux2d.families import DEFAULT_PARAMS, build_family, closed_potential
 from darboux2d.harmonic import HarmonicPair, harmonic_basis
 from darboux2d.polyrat import ONE, X, Y, ZERO, ExponentCapError, RatFn
 from darboux2d.verify import (
@@ -145,8 +145,6 @@ def test_grid_spec_validation():
         GridSpec((-1.0, 1.0), (-1.0, 1.0), nx=1, ny=5)
     with pytest.raises(ValueError):
         GridSpec((1.0, -1.0), (-1.0, 1.0), nx=5, ny=5)
-    with pytest.raises(ValueError):
-        GridSpec((-1.0, 1.0), (-1.0, 1.0), nx=5, ny=5, exclusion_radius=-0.1)
     g = GridSpec((-1.0, 1.0), (0.0, 2.0), nx=3, ny=5)
     xs, ys = g.axes()
     assert list(xs) == [-1.0, 0.0, 1.0]
@@ -162,8 +160,15 @@ def _b0_closures():
 def test_sample_rows_match_pointwise_eval():
     B = build_family("B0", B0_PARAMS).B
     u = closed_potential("B0", {"x0": 0, "y0": 0, "C": 1}).u
-    xs, ys = GridSpec((-2.0, 2.0), (-2.0, 2.0), nx=41, ny=41).axes()
-    for f in (B, u):
+    grid41 = GridSpec((-2.0, 2.0), (-2.0, 2.0), nx=41, ny=41)
+    # factors squared and cubed; no point of the 40 x 40 grid is a zero of B
+    grid40 = GridSpec((-2.0, 2.0), (-2.0, 2.0), nx=40, ny=40)
+    cases = [(B, grid41), (u, grid41)] + [
+        (potential_from_B(build_family(tag, DEFAULT_PARAMS[tag]).B), grid40)
+        for tag in ("B1", "B3")
+    ]
+    for f, grid in cases:
+        xs, ys = grid.axes()
         oracle = np.empty((len(ys), len(xs)))
         for i, y in enumerate(ys):
             for j, x in enumerate(xs):
@@ -190,16 +195,20 @@ def test_fd_residual_catches_wrong_potential():
 
 
 def test_fd_residual_exclusions_and_nonfinite():
-    B_s, u = build_tanh(1, 0)
-    grid = GridSpec((-1.0, 1.0), (-1.0, 1.0), nx=41, ny=41, exclusion_radius=0.25)
-    rep = fd_residual(u, B_s, grid, order=2, tol=1.0,
-                      singular_points=[(0.0, 0.0)])
-    assert rep.detail["skipped_points"] > 0
+    # Y = 1/r^2 solves lap(Y) = (4/r^2) Y and is infinite at the origin, a
+    # grid point: the origin and the four stencils that reach it are skipped
+    def Y(x, y):
+        return 1.0 / (x * x + y * y)
+
+    def u(x, y):
+        return 4.0 / (x * x + y * y)
+
+    grid = GridSpec((-1.0, 1.0), (-1.0, 1.0), nx=21, ny=21)
+    rep = fd_residual(u, Y, grid, order=2, tol=math.inf)
+    assert rep.detail["skipped_points"] == 5
+    assert math.isfinite(rep.detail["max_residual"])
     with pytest.raises(ValueError):
-        fd_residual(u, B_s,
-                    GridSpec((-0.1, 0.1), (-0.1, 0.1), nx=7, ny=7,
-                             exclusion_radius=10.0),
-                    order=2, singular_points=[(0.0, 0.0)])
+        fd_residual(u, lambda x, y: np.full_like(x, np.nan), grid, order=2)
 
 
 def test_transform_target_fails_on_broken_operator(monkeypatch):
