@@ -188,17 +188,7 @@ def _nullspace(rows: list[list[Fraction]], n_cols: int) -> list[tuple[Fraction, 
     with division by the previous pivot, and back-substitution for the free
     columns runs over Fractions before canonical integer rescaling.
     """
-    mat: list[list[int]] = []
-    for row in rows:
-        scale = 1
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        ints = [int(v * scale) for v in row]
-        content = 0
-        for v in ints:
-            content = math.gcd(content, v)
-        if content:
-            mat.append([v // content for v in ints])
+    mat = [ints for ints in map(_primitive_ints, rows) if any(ints)]
 
     pivot_cols: list[int] = []
     rank = 0
@@ -237,16 +227,16 @@ def _nullspace(rows: list[list[Fraction]], n_cols: int) -> list[tuple[Fraction, 
     return basis
 
 
+def _primitive_ints(values: Sequence[Fraction]) -> list[int]:
+    """``values`` scaled to integers with no common factor; zeros stay zeros."""
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    content = math.gcd(*ints)
+    return [v // content for v in ints] if content else ints
+
+
 def _canonical_int_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
-    scale = 1
-    for v in vec:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in vec]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content:
-        ints = [v // content for v in ints]
+    ints = _primitive_ints(vec)
     lead = next((v for v in ints if v), 0)
     if lead < 0:
         ints = [-v for v in ints]

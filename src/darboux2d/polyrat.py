@@ -19,8 +19,10 @@ Products clear denominators to integers, then multiply either pair by pair
 dense ones): each operand becomes one big integer with a fixed-width slot per
 monomial, CPython multiplies the two once, and the slots of the product are
 read back.  A cost model over term counts, slot fill and coefficient bits
-picks the path (:func:`_kronecker_pays`); both give the same terms in the
-same order.
+picks the path (:func:`_kronecker_pays`); both give the same nonzero terms.
+Term order in a polynomial is not part of its value: ``eval_float`` sums in
+sorted key order, so equal polynomials evaluate to the same float whichever
+path or insertion order built them.
 
 A global exponent cap (default 256, overridable through the environment
 variable ``DARBOUX_EXP_CAP``) bounds intermediate blow-up: any operation
@@ -272,11 +274,15 @@ class BiPoly:
         return total
 
     def eval_float(self, x, y):
-        """Float (or numpy-array) value; coefficients are rounded to float."""
+        """Float (or numpy-array) value; coefficients are rounded to float.
+
+        Terms are summed in sorted key order, so the value does not depend
+        on the order in which the terms were inserted.
+        """
         xp = _float_powers(x, self.degree("x"))
         yp = _float_powers(y, self.degree("y"))
         total = 0.0 * x * y  # matches the broadcast shape of the inputs
-        for (i, j), c in self.terms.items():
+        for (i, j), c in sorted(self.terms.items()):
             total = total + float(c) * xp[i] * yp[j]
         return total
 
@@ -304,8 +310,8 @@ def _mul_terms(
 
     Clearing denominators up front keeps the work on integers (one gcd per
     *result* term instead of one per elementary product).  The integer
-    product then takes one of two paths, which return the same terms in the
-    same order:
+    product then takes one of two paths, which agree on the nonzero terms
+    (zeros are dropped here):
 
       * schoolbook (:func:`_mul_schoolbook`): one dict update per pair of
         terms; the path for small or sparse operands, and the test oracle;
@@ -319,12 +325,8 @@ def _mul_terms(
     """
     if not a or not b:
         return {}
-    da = 1
-    for c in a.values():
-        da = da * c.denominator // math.gcd(da, c.denominator)
-    db = 1
-    for c in b.values():
-        db = db * c.denominator // math.gcd(db, c.denominator)
+    da = math.lcm(*(c.denominator for c in a.values()))
+    db = math.lcm(*(c.denominator for c in b.values()))
     ai = [(key, c.numerator * (da // c.denominator)) for key, c in a.items()]
     bi = [(key, c.numerator * (db // c.denominator)) for key, c in b.items()]
     if len(ai) < len(bi):
@@ -342,9 +344,7 @@ def _mul_schoolbook(
 ) -> dict[Exponent, int]:
     """Integer product, one pair of terms at a time.
 
-    Keys appear in order of first occurrence: by outer term, then by inner
-    term.  The Kronecker path reproduces this order, so the float sums of
-    ``eval_float`` do not depend on the path.
+    Coefficients that cancel stay in as zeros; :func:`_mul_terms` drops them.
     """
     acc: dict[Exponent, int] = {}
     get = acc.get
@@ -431,39 +431,6 @@ def _pack(terms: list[tuple[Exponent, int]], width: int, n_slots: int, nbytes: i
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _first_occurrence(
-    outer: list[tuple[Exponent, int]], inner: list[tuple[Exponent, int]], width: int
-) -> list[int]:
-    """Result slots in the order :func:`_mul_schoolbook` first writes them.
-
-    The inner operand's support is a bit mask over slots.  Outer term ``p``
-    at slot ``s`` covers the mask shifted by ``s``; the bits not covered by
-    an earlier outer term are new, and they come in inner-term order.
-    """
-    rank: dict[int, int] = {}
-    mask = 0
-    for q, ((i, j), _) in enumerate(inner):
-        slot = i * width + j
-        rank[slot] = q
-        mask |= 1 << slot
-    seen = 0
-    order: list[int] = []
-    for (i, j), _ in outer:
-        base = i * width + j
-        new = mask & ~(seen >> base)
-        if not new:
-            continue
-        seen |= new << base
-        rel = []
-        while new:
-            low = new & -new
-            rel.append(low.bit_length() - 1)
-            new ^= low
-        rel.sort(key=rank.__getitem__)
-        order.extend(base + r for r in rel)
-    return order
-
-
 def _mul_kronecker(
     outer: list[tuple[Exponent, int]], inner: list[tuple[Exponent, int]]
 ) -> dict[Exponent, int]:
@@ -472,7 +439,8 @@ def _mul_kronecker(
     With ``width`` one more than the product's y-degree, no row of the
     product spills into the next, so slot ``i*width + j`` of the packed product holds the
     coefficient of ``x^i y^j``.  A bias of half a slot in every slot makes
-    each digit non-negative, so the product unpacks byte-wise.
+    each digit non-negative, so the product unpacks byte-wise; a slot that
+    holds the bias alone is a zero coefficient and is left out.
     """
     (xo, yo, mo), (xi, yi, mi) = _extent(outer), _extent(inner)
     # over Q the product has a term of x-degree xo + xi and one of y-degree
@@ -487,12 +455,14 @@ def _mul_kronecker(
         inner, width, xi * width + yi + 1, nbytes
     )
     half = 1 << (slot_bits - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n_slots, "little")
+    zero = bytes(nbytes - 1) + b"\x80"  # the bias alone
+    bias = int.from_bytes(zero * n_slots, "little")
     raw = (product + bias).to_bytes(n_slots * nbytes, "little")
     acc: dict[Exponent, int] = {}
-    for slot in _first_occurrence(outer, inner, width):
-        off = slot * nbytes
-        acc[divmod(slot, width)] = int.from_bytes(raw[off : off + nbytes], "little") - half
+    for slot in range(n_slots):
+        digit = raw[slot * nbytes : (slot + 1) * nbytes]
+        if digit != zero:
+            acc[divmod(slot, width)] = int.from_bytes(digit, "little") - half
     return acc
 
 

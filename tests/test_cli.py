@@ -1,7 +1,6 @@
 """CLI tests driven through main() plus one console-script smoke test."""
 
 import json
-import math
 import subprocess
 import sys
 from fractions import Fraction

@@ -1,7 +1,6 @@
 """Transform core tests."""
 
 import math
-from fractions import Fraction
 
 import pytest
 

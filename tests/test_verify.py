@@ -12,8 +12,8 @@ from darboux2d import darboux, families
 from darboux2d.cli import main
 from darboux2d.darboux import TransformOutput, potential_from_B, transform_solution
 from darboux2d.families import DEFAULT_PARAMS, build_family, closed_potential
-from darboux2d.harmonic import HarmonicPair, harmonic_basis
-from darboux2d.polyrat import ONE, X, Y, ZERO, ExponentCapError, RatFn
+from darboux2d.harmonic import harmonic_basis
+from darboux2d.polyrat import ONE, X, Y, ExponentCapError, RatFn
 from darboux2d.verify import (
     ALL_TARGETS,
     GridSpec,
