@@ -123,22 +123,18 @@ def _coerce_params(family: str, raw: dict) -> dict:
 def _rational_instance(family: str, params: dict):
     """(RationalSolution, closed potential) for a family key or preset name."""
     if family in PRESETS:
-        tag = PRESETS[family].family_tag
-        merged = {**PRESETS[family].params, **params}
         sol = build_preset(family, **params)
     elif family in FAMILY_KEYS:
         tag = FAMILY_KEYS[family]
-        merged = {**DEFAULT_PARAMS[tag], **params}
-        sol = build_family(tag, merged)
+        sol = build_family(tag, {**DEFAULT_PARAMS[tag], **params})
     else:
         raise CliError("invalid-params", f"unknown family {family!r}")
-    return sol, closed_potential(tag, merged)
+    return sol, closed_potential(sol.family_tag, sol.params)
 
 
 def _tanh_constants(params: dict) -> tuple[float, float]:
-    merged = dict(DEFAULT_PARAMS["tanh"])
-    merged.update(params)
-    C1, C2 = merged["C1"], merged["C2"]
+    values = {**DEFAULT_PARAMS["tanh"], **params}
+    C1, C2 = values["C1"], values["C2"]
     if C1 == 0:
         raise CliError("invalid-params", "C1 must be nonzero")
     return C1, C2
@@ -339,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated explicit target names")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--format", choices=("csv", "json"), default="json")
 
     p_transform = sub.add_parser("transform", help="apply the solution transform")
     common(p_transform)

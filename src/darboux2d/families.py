@@ -14,13 +14,15 @@ named presets.
 Builders construct numerators through the Laplace-constrained machinery and
 then check exact agreement with the explicit formulas where the latter
 exist -- double-entry bookkeeping against transcription slips.  A mismatch
-raises :class:`ArithmeticError`, also under ``python -O``.
+raises :class:`ArithmeticError`, also under ``python -O``.  Each builder
+returns B; :func:`build_family` calls one from a flat parameter mapping and
+keeps that mapping on the instance it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -45,27 +47,22 @@ from darboux2d.polyrat import (
 
 # family key (as the CLI and the suite name it) -> family tag
 FAMILY_KEYS = {"b0": "B0", "b1": "B1", "b2": "B2", "b3": "B3"}
-FAMILY_TAGS = tuple(FAMILY_KEYS.values())
 
 
 @dataclass(frozen=True)
 class RationalSolution:
-    """A rational B = N/(M + C) together with the pole data that built it.
+    """A rational B = N/(M + C) with the parameters that built it.
 
-    For B3 the denominator product carries the origin pole with multiplicity
-    three (the confluent case); `config` stores each pole once, so for that
-    family the structural multiplicity lives in the family tag, not in the
-    pole list.
+    ``params`` is the flat mapping :func:`build_family` was given, preset
+    values included, so ``closed_potential(family_tag, params)`` is the
+    transcribed potential of this very B.  ``preset`` names the preset the
+    instance was built from, if any.
     """
 
     B: RatFn
-    config: PoleConfig
     family_tag: str
+    params: Mapping[str, Scalar]
     preset: str | None = None
-
-    def __post_init__(self):
-        if self.family_tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.family_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class ClosedPotential:
     as independent inputs.
     """
 
-    family_tag: str
     u: RatFn
     constants: dict[str, Fraction] = field(default_factory=dict)
 
@@ -110,17 +106,16 @@ def _den_from(M: BiPoly, C: Fraction) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 
-def build_B0(p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, C: Scalar) -> RationalSolution:
+def build_B0(p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, C: Scalar) -> RatFn:
     """One-pole family: B = (p0(x-x0) + q0(y-y0)) / ((x-x0)^2 + (y-y0)^2 + C)."""
     p0, q0, x0, y0, C = map(as_fraction, (p0, q0, x0, y0, C))
     _require_nonzero_weight(p0, q0)
     _require_positive_C(C)
-    config = PoleConfig(poles=((x0, y0),), weights=((p0, q0),), C=C)
-    N, M = pole_sum(config)
+    N, M = pole_sum(PoleConfig(poles=((x0, y0),), weights=((p0, q0),)))
     explicit = p0 * (X - x0) + q0 * (Y - y0)
     if N != explicit:
         raise ArithmeticError("one-pole numerator disagrees with the explicit linear form")
-    return RationalSolution(B=RatFn(N, _den_from(M, C)), config=config, family_tag="B0")
+    return RatFn(N, _den_from(M, C))
 
 
 def _match_leading_weights(
@@ -142,8 +137,8 @@ def _match_leading_weights(
 
 def build_B1(
     p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, x1: Scalar, y1: Scalar, C: Scalar
-) -> RationalSolution:
-    """Two-pole family with the second weight pair forced by harmonicity."""
+) -> RatFn:
+    """Two-pole family B = N/(M + C), the second weight pair forced by harmonicity."""
     p0, q0, x0, y0, x1, y1, C = map(as_fraction, (p0, q0, x0, y0, x1, y1, C))
     _require_nonzero_weight(p0, q0)
     _require_positive_C(C)
@@ -153,8 +148,7 @@ def build_B1(
     basis = laplace_constrained_numerator(poles)
     weights_flat = _match_leading_weights(basis, p0, q0)
     weights = ((weights_flat[0], weights_flat[1]), (weights_flat[2], weights_flat[3]))
-    config = PoleConfig(poles=poles, weights=weights, C=C)
-    N, M = pole_sum(config)
+    N, M = pole_sum(PoleConfig(poles=poles, weights=weights))
 
     # independent rendering of the same numerator, straight from the closed form
     d1 = p0 * (x0 - x1) - q0 * (y0 - y1)
@@ -173,13 +167,13 @@ def build_B1(
     if N != explicit:
         raise ArithmeticError("two-pole numerator disagrees with its closed form")
     _require_harmonic(N)
-    return RationalSolution(B=RatFn(N, _den_from(M, C)), config=config, family_tag="B1")
+    return RatFn(N, _den_from(M, C))
 
 
 def build_B2(
     weights_choice, x1: Scalar, y1: Scalar, x2: Scalar, y2: Scalar, C: Scalar
-) -> RationalSolution:
-    """Three-pole family (one pole pinned at the origin).
+) -> RatFn:
+    """Three-pole family B = N/(M + C), one pole pinned at the origin.
 
     ``weights_choice`` is either a pair (a, b) of coordinates in the solved
     two-dimensional weight basis, or a full six-component weight vector that
@@ -206,10 +200,9 @@ def build_B2(
     if all(v == 0 for v in flat):
         raise ValueError("weight vector is zero")
     weights = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(3))
-    config = PoleConfig(poles=poles, weights=weights, C=C)
-    N, M = pole_sum(config)
+    N, M = pole_sum(PoleConfig(poles=poles, weights=weights))
     _require_harmonic(N)
-    return RationalSolution(B=RatFn(N, _den_from(M, C)), config=config, family_tag="B2")
+    return RatFn(N, _den_from(M, C))
 
 
 def _project_into_span(
@@ -245,7 +238,7 @@ def _m_constants(x1: Fraction, y1: Fraction) -> dict[str, Fraction]:
     }
 
 
-def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> RationalSolution:
+def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> RatFn:
     """Confluent family: triple pole at the origin plus one free pole.
 
     The numerator is assembled in the degree-(3,4) harmonic basis (the
@@ -280,14 +273,8 @@ def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> Ratio
         raise ArithmeticError("confluent numerator disagrees with its closed form")
     _require_harmonic(H)
 
-    origin = (Fraction(0), Fraction(0))
-    config = PoleConfig(
-        poles=(origin, (x1, y1)),
-        weights=((Fraction(0), Fraction(0)), (p1, q1)),
-        C=C,
-    )
-    M = _pole_factor(origin) ** 3 * _pole_factor((x1, y1))
-    return RationalSolution(B=RatFn(H, _den_from(M, C)), config=config, family_tag="B3")
+    M = _pole_factor((Fraction(0), Fraction(0))) ** 3 * _pole_factor((x1, y1))
+    return RatFn(H, _den_from(M, C))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         x0, y0, C = _need(params, "x0", "y0", "C")
         _require_positive_C(C)
         den = (X - x0) ** 2 + (Y - y0) ** 2 + BiPoly.const(C)
-        return ClosedPotential(family_tag="B0", u=RatFn(BiPoly.const(-8 * C), den) / den)
+        return ClosedPotential(u=RatFn(BiPoly.const(-8 * C), den) / den)
 
     if family_tag == "B1":
         x0, y0, x1, y1, C = _need(params, "x0", "y0", "x1", "y1", "C")
@@ -324,7 +311,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         num = -32 * C * ((X - cx) ** 2 + (Y - cy) ** 2)
         M = ((X - x0) ** 2 + (Y - y0) ** 2) * ((X - x1) ** 2 + (Y - y1) ** 2)
         den = M + BiPoly.const(C)
-        return ClosedPotential(family_tag="B1", u=RatFn(num, den) / den)
+        return ClosedPotential(u=RatFn(num, den) / den)
 
     if family_tag == "B2":
         x1, y1, x2, y2, C = _need(params, "x1", "y1", "x2", "y2", "C")
@@ -354,7 +341,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
             * ((X - x2) ** 2 + (Y - y2) ** 2)
         )
         den = M + BiPoly.const(C)
-        return ClosedPotential(family_tag="B2", u=RatFn(-8 * C * G, den) / den, constants=k)
+        return ClosedPotential(u=RatFn(-8 * C * G, den) / den, constants=k)
 
     if family_tag == "B3":
         x1, y1, C = _need(params, "x1", "y1", "C")
@@ -369,9 +356,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         )
         M = (X**2 + Y**2) ** 3 * ((X - x1) ** 2 + (Y - y1) ** 2)
         den = M + BiPoly.const(C)
-        return ClosedPotential(
-            family_tag="B3", u=RatFn(num, den) / den, constants=_m_constants(x1, y1)
-        )
+        return ClosedPotential(u=RatFn(num, den) / den, constants=_m_constants(x1, y1))
 
     raise ValueError(f"unknown family tag {family_tag!r}")
 
@@ -453,7 +438,6 @@ class Preset:
     """Named parameter set; `params` is exact, `params_float` carries the
     surd-valued original when the exact entry is a rational approximation."""
 
-    name: str
     family_tag: str
     params: dict
     params_float: dict | None = None
@@ -463,7 +447,6 @@ def _make_presets() -> dict[str, Preset]:
     tsarev2_exact, tsarev2_float = _tsarev2_values()
     return {
         "tsarev-1": Preset(
-            name="tsarev-1",
             family_tag="B1",
             params={
                 "p0": Fraction(1),
@@ -476,7 +459,6 @@ def _make_presets() -> dict[str, Preset]:
             },
         ),
         "tsarev-2": Preset(
-            name="tsarev-2",
             family_tag="B2",
             params=tsarev2_exact,
             params_float=tsarev2_float,
@@ -505,7 +487,7 @@ _BUILDERS = {
 
 
 def build_family(family_tag: str, params: Mapping[str, Scalar]) -> RationalSolution:
-    """Dispatch to the family builders from a flat parameter mapping.
+    """Build B from a flat parameter mapping and record the tag and the params.
 
     Every key a builder takes is required, except B2's ``weights_choice``,
     which defaults to (1, 0); any other key is an error.
@@ -517,18 +499,16 @@ def build_family(family_tag: str, params: Mapping[str, Scalar]) -> RationalSolut
         if key not in keys:
             raise ValueError(f"unknown parameter {key!r}")
     if family_tag == "B2":
-        return build(params.get("weights_choice", (1, 0)), *_need(params, *keys[1:]))
-    return build(*_need(params, *keys))
+        B = build(params.get("weights_choice", (1, 0)), *_need(params, *keys[1:]))
+    else:
+        B = build(*_need(params, *keys))
+    return RationalSolution(B=B, family_tag=family_tag, params=dict(params))
 
 
 def build_preset(name: str, **extra) -> RationalSolution:
-    """Instantiate a named preset; `extra` may override free weight choices."""
+    """Instantiate a named preset; ``extra`` overrides any of its parameters."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (have: {', '.join(sorted(PRESETS))})")
     preset = PRESETS[name]
-    params = dict(preset.params)
-    params.update(extra)
-    built = build_family(preset.family_tag, params)
-    return RationalSolution(
-        B=built.B, config=built.config, family_tag=built.family_tag, preset=name
-    )
+    params = {**preset.params, **extra}
+    return replace(build_family(preset.family_tag, params), preset=name)

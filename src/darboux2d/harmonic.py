@@ -45,23 +45,19 @@ def _as_point(value) -> Point:
 
 @dataclass(frozen=True)
 class PoleConfig:
-    """Pole positions, dipole weights, and the positive shift constant C.
+    """The checked input of :func:`pole_sum`: pole positions and dipole weights.
 
-    ``poles[i]`` is (x_i, y_i), ``weights[i]`` is (p_i, q_i).  Poles must be
-    pairwise distinct here; the confluent quadruple-pole family stores its
-    multiplicity structurally (see ``families.build_B3``), not as repeats.
-    C's positivity is a *usage* condition (it makes M_n + C positive) and is
-    enforced by the family builders rather than by this container.
+    ``poles[i]`` is (x_i, y_i), ``weights[i]`` is (p_i, q_i), one weight pair
+    per pole, and the poles are pairwise distinct.  The shift C of
+    B = N/(M + C) is not part of it: the family builders add it to M.
     """
 
     poles: tuple[Point, ...]
     weights: tuple[Point, ...]
-    C: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "poles", tuple(_as_point(p) for p in self.poles))
         object.__setattr__(self, "weights", tuple(_as_point(w) for w in self.weights))
-        object.__setattr__(self, "C", as_fraction(self.C))
         if not self.poles:
             raise ValueError("at least one pole is required")
         if len(self.poles) != len(self.weights):

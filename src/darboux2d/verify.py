@@ -316,40 +316,42 @@ def _rand_positive(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 20), rng.randint(1, 20))
 
 
+def _rand_weight(rng: random.Random) -> tuple[Fraction, Fraction]:
+    """A nonzero dipole weight (p, q): q is redrawn while p and q are zero."""
+    p = _rand_fraction(rng)
+    return p, _rand_fraction(rng, nonzero=p == 0)
+
+
+def _rand_poles(rng: random.Random, n: int, fixed: tuple = ()) -> tuple:
+    """``fixed`` then n random poles, the n redrawn until all are distinct."""
+    while True:
+        drawn = ((_rand_fraction(rng), _rand_fraction(rng)) for _ in range(n))
+        poles = (*fixed, *drawn)
+        if len(set(poles)) == len(poles):
+            return poles
+
+
+_ORIGIN = (Fraction(0), Fraction(0))
+
+
 def _draw_params(tag: str, rng: random.Random) -> dict:
     """One randomized small-rational parameter set for a family."""
     if tag == "B0":
-        p0 = _rand_fraction(rng)
-        q0 = _rand_fraction(rng, nonzero=p0 == 0)
+        p0, q0 = _rand_weight(rng)
         return {"p0": p0, "q0": q0, "x0": _rand_fraction(rng),
                 "y0": _rand_fraction(rng), "C": _rand_positive(rng)}
     if tag == "B1":
-        p0 = _rand_fraction(rng)
-        q0 = _rand_fraction(rng, nonzero=p0 == 0)
-        while True:
-            x0, y0 = _rand_fraction(rng), _rand_fraction(rng)
-            x1, y1 = _rand_fraction(rng), _rand_fraction(rng)
-            if (x0, y0) != (x1, y1):
-                break
+        p0, q0 = _rand_weight(rng)
+        (x0, y0), (x1, y1) = _rand_poles(rng, 2)
         return {"p0": p0, "q0": q0, "x0": x0, "y0": y0, "x1": x1, "y1": y1,
                 "C": _rand_positive(rng)}
     if tag == "B2":
-        while True:
-            x1, y1 = _rand_fraction(rng), _rand_fraction(rng)
-            x2, y2 = _rand_fraction(rng), _rand_fraction(rng)
-            if len({(0, 0), (x1, y1), (x2, y2)}) == 3:
-                break
-        a = _rand_fraction(rng)
-        b = _rand_fraction(rng, nonzero=a == 0)
-        return {"weights_choice": (a, b), "x1": x1, "y1": y1, "x2": x2, "y2": y2,
-                "C": _rand_positive(rng)}
+        _, (x1, y1), (x2, y2) = _rand_poles(rng, 2, (_ORIGIN,))
+        return {"weights_choice": _rand_weight(rng), "x1": x1, "y1": y1, "x2": x2,
+                "y2": y2, "C": _rand_positive(rng)}
     if tag == "B3":
-        p1 = _rand_fraction(rng)
-        q1 = _rand_fraction(rng, nonzero=p1 == 0)
-        while True:
-            x1, y1 = _rand_fraction(rng), _rand_fraction(rng)
-            if (x1, y1) != (0, 0):
-                break
+        p1, q1 = _rand_weight(rng)
+        _, (x1, y1) = _rand_poles(rng, 1, (_ORIGIN,))
         return {"p1": p1, "q1": q1, "x1": x1, "y1": y1, "C": _rand_positive(rng)}
     raise ValueError(tag)
 
@@ -460,11 +462,11 @@ def _run_potential_tsarev1(seed: int) -> ResidualReport:
     name = "potential:tsarev-1:b1"
     sol = build_preset("tsarev-1")
     u_pipe = potential_from_B(sol.B)
-    u_closed = closed_potential("B1", PRESETS["tsarev-1"].params).u
+    u_closed = closed_potential(sol.family_tag, sol.params).u
     residual = u_pipe - u_closed
     spot = ratfn_eval(u_closed, (Fraction(0), Fraction(0)))
     report = _exact_report(name, [residual], seed=seed,
-                           params=_params_text(PRESETS["tsarev-1"].params),
+                           params=_params_text(sol.params),
                            extra={"origin_value": str(spot)})
     if spot != Fraction(-1, 5):
         report = replace(report, verdict="fail")
@@ -680,92 +682,60 @@ def _run_smooth(key: str, seed: int) -> ResidualReport:
     name = f"smooth:{key}"
     tag = FAMILY_KEYS[key]
     params = DEFAULT_PARAMS[tag]
-    u = closed_potential(tag, params).u
+    # u = num / den^2 with den = M + C: den^2 >= C^2 exactly where |den| >= C
+    ((den, _),) = closed_potential(tag, params).u.factors
     C = params["C"]
-    bound = C * C
     step = Fraction(2, 5)  # 101 points across [-20, 20]
-    ok = True
-    worst = None
-    for i in range(101):
-        x = -20 + step * i
-        for j in range(101):
-            y = -20 + step * j
-            val = u.den.eval(x, y)
-            if worst is None or val < worst:
-                worst = val
-            if val < bound:
-                ok = False
+    lattice = [-20 + step * i for i in range(101)]
+    worst = min(abs(den.eval(x, y)) for x in lattice for y in lattice)
     detail = {
         "residual_terms": 0,
         "grid": "101x101 on [-20,20]^2",
-        "min_denominator": float(worst),
-        "bound": float(bound),
+        "min_denominator": float(worst**2),
+        "bound": float(C * C),
     }
     return ResidualReport(
-        check_name=name, mode="exact", verdict="pass" if ok else "fail",
+        check_name=name, mode="exact", verdict="pass" if worst >= C else "fail",
         detail=detail, params=_params_text(params), seed=seed,
     )
+
+
+# dim target -> (the preset whose poles are the first pole set, the poles
+# every set pins); each set adds two free poles
+_DIM_POLES = {"b1": ("tsarev-1", ()), "b2": ("tsarev-2", (_ORIGIN,))}
 
 
 def _run_dim(key: str, seed: int) -> ResidualReport:
     name = f"dim:{key}"
     rng = random.Random(f"{seed}:{name}")
+    preset, fixed = _DIM_POLES[key]
+    params = PRESETS[preset].params
+    # pole i of a family is (x_i, y_i), counting the pinned poles first
+    free = range(len(fixed), len(fixed) + 2)
+    pole_sets = [(*fixed, *((params[f"x{i}"], params[f"y{i}"]) for i in free))]
+    pole_sets += [_rand_poles(rng, 2, fixed) for _ in range(3)]
     cases = []
-    if key == "b1":
-        pole_sets = [((Fraction(0), Fraction(0)), (Fraction(-8, 17), Fraction(-2, 17)))]
-        for _ in range(3):
-            while True:
-                poles = ((_rand_fraction(rng), _rand_fraction(rng)),
-                         (_rand_fraction(rng), _rand_fraction(rng)))
-                if poles[0] != poles[1]:
-                    break
-            pole_sets.append(poles)
-        for poles in pole_sets:
-            basis = laplace_constrained_numerator(poles)
-            entry = {"poles": [[str(a), str(b)] for a, b in poles],
-                     "dimension": len(basis)}
-            ok = len(basis) == 2
-            if ok:
-                # the explicit two-pole closed form must lie in the span:
-                # build_B1 reconstructs it from the basis and zero-tests
-                # against the transcription internally
-                p0 = _rand_fraction(rng)
-                q0 = _rand_fraction(rng, nonzero=p0 == 0)
-                try:
-                    build_family("B1", {
-                        "p0": p0, "q0": q0,
-                        "x0": poles[0][0], "y0": poles[0][1],
-                        "x1": poles[1][0], "y1": poles[1][1],
-                        "C": Fraction(1),
-                    })
-                    entry["explicit_in_span"] = True
-                except ExponentCapError:
-                    raise
-                except (ArithmeticError, ValueError):
-                    ok = False
-                    entry["explicit_in_span"] = False
-            entry["verdict"] = "pass" if ok else "fail"
-            cases.append(entry)
-    else:
-        preset = PRESETS["tsarev-2"].params
-        pole_sets = [((Fraction(0), Fraction(0)),
-                      (preset["x1"], preset["y1"]),
-                      (preset["x2"], preset["y2"]))]
-        for _ in range(3):
-            while True:
-                poles = ((Fraction(0), Fraction(0)),
-                         (_rand_fraction(rng), _rand_fraction(rng)),
-                         (_rand_fraction(rng), _rand_fraction(rng)))
-                if len(set(poles)) == 3:
-                    break
-            pole_sets.append(poles)
-        for poles in pole_sets:
-            basis = laplace_constrained_numerator(poles)
-            cases.append({
-                "poles": [[str(a), str(b)] for a, b in poles],
-                "dimension": len(basis),
-                "verdict": "pass" if len(basis) == 2 else "fail",
-            })
+    for poles in pole_sets:
+        basis = laplace_constrained_numerator(poles)
+        entry = {"poles": [[str(a), str(b)] for a, b in poles], "dimension": len(basis)}
+        ok = len(basis) == 2
+        if ok and key == "b1":
+            # the explicit two-pole closed form must lie in the span:
+            # build_B1 reconstructs it from the basis and zero-tests
+            # against the transcription internally
+            p0, q0 = _rand_weight(rng)
+            (x0, y0), (x1, y1) = poles
+            try:
+                build_family("B1", {"p0": p0, "q0": q0, "x0": x0, "y0": y0,
+                                    "x1": x1, "y1": y1, "C": Fraction(1)})
+                entry["explicit_in_span"] = True
+            except ExponentCapError:
+                raise
+            except (ArithmeticError, ValueError):
+                ok = False
+                entry["explicit_in_span"] = False
+        entry["verdict"] = "pass" if ok else "fail"
+        cases.append(entry)
     return _aggregate(name, "exact", cases, seed)
 
 

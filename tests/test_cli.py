@@ -9,7 +9,7 @@ import pytest
 
 from darboux2d.cli import main
 from darboux2d.darboux import R_coeffs
-from darboux2d.families import build_family
+from darboux2d.families import PRESETS, build_family, closed_potential
 from darboux2d.polyrat import ratfn_eval, ratfn_to_str
 
 
@@ -43,6 +43,16 @@ def test_build_json_format(capsys):
     payload = json.loads(out)
     assert payload["family"] == "b3"
     assert set(payload["constants"]) == {"m1", "m2", "m3", "m4"}
+
+
+def test_build_preset_override_reaches_the_potential(capsys):
+    code, out, _ = run_cli(capsys, "build", "--family", "tsarev-1",
+                           "--params", '{"C":"3"}')
+    assert code == 0
+    params = {**PRESETS["tsarev-1"].params, "C": 3}
+    u = closed_potential("B1", params).u
+    assert f"u = {ratfn_to_str(u)}" in out.splitlines()
+    assert f"B = {ratfn_to_str(build_family('B1', params).B)}" in out.splitlines()
 
 
 def test_build_coincident_poles_exits_2(capsys):
@@ -219,6 +229,14 @@ def test_verify_single_target(capsys):
 def test_verify_unknown_target_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--targets", "nope")
     assert code == 2
+
+
+def test_verify_has_no_format_option(capsys):
+    # verify always prints JSON; --format is a usage error, not ignored
+    code, out, _ = run_cli(capsys, "verify", "--targets", "spot:potentials",
+                           "--format", "csv")
+    assert code == 2
+    assert out == ""
 
 
 def test_verify_unknown_family_exits_2(capsys):

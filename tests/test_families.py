@@ -12,7 +12,6 @@ from darboux2d.darboux import potential_from_B
 from darboux2d.families import (
     DEFAULT_PARAMS,
     FAMILY_KEYS,
-    FAMILY_TAGS,
     PRESETS,
     build_B0,
     build_B1,
@@ -27,11 +26,10 @@ from darboux2d.polyrat import X, Y, RatFn, laplacian_poly, ratfn_eval
 
 
 def test_b0_canonical_instance():
-    sol = build_B0(1, 0, 0, 0, 1)
+    B = build_B0(1, 0, 0, 0, 1)
     expected = RatFn(X, X ** 2 + Y ** 2 + 1)
-    assert (sol.B - expected).is_zero()
-    assert sol.family_tag == "B0"
-    assert laplacian_poly(sol.B.num).is_zero()
+    assert (B - expected).is_zero()
+    assert laplacian_poly(B.num).is_zero()
 
 
 def test_b0_closed_potential_origin():
@@ -61,8 +59,8 @@ def test_b1_pipeline_matches_closed_form():
 
 
 def test_b1_numerators_are_harmonic():
-    sol = build_B1(3, Fraction(1, 2), 0, 0, 1, -1, Fraction(7, 3))
-    assert laplacian_poly(sol.B.num).is_zero()
+    B = build_B1(3, Fraction(1, 2), 0, 0, 1, -1, Fraction(7, 3))
+    assert laplacian_poly(B.num).is_zero()
 
 
 def test_b1_coincident_poles_rejected():
@@ -74,8 +72,8 @@ def test_b2_weight_choice_does_not_move_potential():
     kw = dict(x1=1, y1=0, x2=0, y2=1, C=1)
     a = build_B2((1, 0), **kw)
     b = build_B2((Fraction(1, 3), Fraction(5, 2)), **kw)
-    ua = potential_from_B(a.B)
-    ub = potential_from_B(b.B)
+    ua = potential_from_B(a)
+    ub = potential_from_B(b)
     assert (ua - ub).is_zero()
     u_closed = closed_potential("B2", kw).u
     assert (ua - u_closed).is_zero()
@@ -94,8 +92,7 @@ def test_b3_origin_potential_vanishes():
 
 
 def test_b3_pipeline_matches_closed_form():
-    sol = build_B3(1, 0, 1, 1, 1)
-    u_pipe = potential_from_B(sol.B)
+    u_pipe = potential_from_B(build_B3(1, 0, 1, 1, 1))
     closed = closed_potential("B3", {"x1": 1, "y1": 1, "C": 1})
     assert (u_pipe - closed.u).is_zero()
     assert set(closed.constants) == {"m1", "m2", "m3", "m4"}
@@ -107,13 +104,14 @@ def test_b3_rejects_origin_second_pole():
 
 
 def test_family_tags_and_dispatch():
-    assert FAMILY_TAGS == ("B0", "B1", "B2", "B3")
     assert FAMILY_KEYS == {"b0": "B0", "b1": "B1", "b2": "B2", "b3": "B3"}
     with pytest.raises(ValueError):
         build_family("B9", {})
     for tag in ("B0", "B1", "B2", "B3"):
         sol = build_family(tag, DEFAULT_PARAMS[tag])
         assert sol.family_tag == tag
+        assert sol.params == DEFAULT_PARAMS[tag]
+        assert sol.preset is None
 
 
 def test_tanh_solution_validation():
@@ -162,11 +160,21 @@ def test_presets():
     t1 = build_preset("tsarev-1")
     assert t1.preset == "tsarev-1"
     assert t1.family_tag == "B1"
-    assert t1.config.C == Fraction(160, 17)
+    assert t1.params["C"] == Fraction(160, 17)
     t2 = build_preset("tsarev-2")
     assert t2.family_tag == "B2"
     with pytest.raises(ValueError):
         build_preset("tsarev-3")
+
+
+def test_preset_override_reaches_the_closed_potential():
+    sol = build_preset("tsarev-1", C=3)
+    assert sol.preset == "tsarev-1"
+    assert sol.params == {**PRESETS["tsarev-1"].params, "C": 3}
+    u = closed_potential(sol.family_tag, sol.params).u
+    assert (potential_from_B(sol.B) - u).is_zero()
+    # u1(0,0) = -32 C |midpoint|^2 / C^2 = -32/(17 C); the preset's C gives -1/5
+    assert ratfn_eval(u, (Fraction(0), Fraction(0))) == Fraction(-32, 51)
 
 
 def test_tsarev2_rationalization_tracks_surds():

@@ -67,15 +67,15 @@ def test_double_conjugate_identity():
 
 def test_pole_config_validation():
     with pytest.raises(ValueError):
-        PoleConfig(poles=[(0, 0), (0, 0)], weights=[(1, 0), (0, 1)], C=1)
+        PoleConfig(poles=[(0, 0), (0, 0)], weights=[(1, 0), (0, 1)])
     with pytest.raises(ValueError):
-        PoleConfig(poles=[(0, 0)], weights=[(1, 0), (0, 1)], C=1)
+        PoleConfig(poles=[(0, 0)], weights=[(1, 0), (0, 1)])
     with pytest.raises(ValueError):
-        PoleConfig(poles=[], weights=[], C=1)
+        PoleConfig(poles=[], weights=[])
 
 
 def test_pole_sum_two_pole_example():
-    cfg = PoleConfig(poles=[(0, 0), (1, 0)], weights=[(1, 0), (0, 1)], C=0)
+    cfg = PoleConfig(poles=[(0, 0), (1, 0)], weights=[(1, 0), (0, 1)])
     N, M = pole_sum(cfg)
     shifted = (X - 1) ** 2 + Y ** 2
     assert N == X * shifted + Y * (X ** 2 + Y ** 2)
@@ -86,7 +86,6 @@ def test_pole_sum_is_harmonic():
     cfg = PoleConfig(
         poles=[(0, 0), (1, 0), (0, Fraction(1, 2))],
         weights=[(1, 0), (0, 1), (Fraction(2, 3), -1)],
-        C=0,
     )
     N, M = pole_sum(cfg)
     assert laplacian_ratfn(RatFn(N, M)).is_zero()
@@ -128,6 +127,6 @@ def test_constrained_numerator_members_are_harmonic():
     ]
     for vec in laplace_constrained_numerator(poles):
         weights = [(vec[2 * i], vec[2 * i + 1]) for i in range(len(poles))]
-        cfg = PoleConfig(poles=poles, weights=weights, C=0)
+        cfg = PoleConfig(poles=poles, weights=weights)
         N, _ = pole_sum(cfg)
         assert laplacian_poly(N).is_zero()

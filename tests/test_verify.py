@@ -3,21 +3,28 @@ acceptance suite)."""
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from darboux2d import darboux, families
+from darboux2d import darboux, families, verify
 from darboux2d.cli import main
 from darboux2d.darboux import TransformOutput, potential_from_B, transform_solution
-from darboux2d.families import DEFAULT_PARAMS, build_family, closed_potential
+from darboux2d.families import (
+    DEFAULT_PARAMS,
+    ClosedPotential,
+    build_family,
+    closed_potential,
+)
 from darboux2d.harmonic import harmonic_basis
-from darboux2d.polyrat import ONE, X, Y, ExponentCapError, RatFn
+from darboux2d.polyrat import ONE, X, Y, BiPoly, ExponentCapError, RatFn
 from darboux2d.verify import (
     ALL_TARGETS,
     GridSpec,
     ResidualReport,
+    _draw_params,
     _sample,
     check_eq12,
     check_new_potential_system,
@@ -138,6 +145,38 @@ def test_dim_guard_lets_exponent_cap_through(monkeypatch):
     with pytest.raises(ExponentCapError):
         run_suite(["dim:b1"], seed=7)
     assert main(["verify", "--targets", "dim:b1"]) == 2
+
+
+def test_smooth_fails_when_the_denominator_dips_below_C(monkeypatch):
+    # b0 has C = 1; a denominator x^2 + y^2 + 1/2 reaches 1/2 < C at the origin
+    den = X * X + Y * Y + Fraction(1, 2)
+    fake = ClosedPotential(u=RatFn(BiPoly.const(-8), den) / den)
+    monkeypatch.setattr(verify, "closed_potential", lambda tag, params: fake)
+    (rep,) = run_suite(["smooth:b0"], seed=7)
+    assert rep.verdict == "fail"
+    assert rep.detail["min_denominator"] == 0.25
+    assert rep.detail["bound"] == 1.0
+
+
+# the first parameter draw of each family at seed 7, fixed so that a change
+# in the order of RNG calls shows
+FIRST_EQ12_DRAWS = {
+    "B0": {"p0": "-3", "q0": "-16/7", "x0": "11/18", "y0": "-2/3", "C": "19/18"},
+    "B1": {"p0": "-4", "q0": "1/2", "x0": "8/5", "y0": "1/6", "x1": "17/4",
+           "y1": "10/19", "C": "1/5"},
+    "B2": {"weights_choice": ("-13/7", "-7/15"), "x1": "4/19", "y1": "-4",
+           "x2": "4/13", "y2": "-3", "C": "13/7"},
+    "B3": {"p1": "-1", "q1": "-12/13", "x1": "1/2", "y1": "1/8", "C": "8/3"},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(FIRST_EQ12_DRAWS))
+def test_first_draw_of_each_family_is_pinned(tag):
+    params = _draw_params(tag, random.Random(f"7:eq12:{tag.lower()}"))
+    text = {k: tuple(map(str, v)) if isinstance(v, tuple) else str(v)
+            for k, v in params.items()}
+    assert text == FIRST_EQ12_DRAWS[tag]
+    assert list(params) == list(FIRST_EQ12_DRAWS[tag])
 
 
 def test_grid_spec_validation():
