@@ -41,7 +41,6 @@ from darboux2d.polyrat import (
     ZERO,
     ExponentCapError,
     as_fraction,
-    ratfn_eval,
     ratfn_to_str,
 )
 from darboux2d.verify import check_schrodinger, run_suite, targets_for_family
@@ -246,19 +245,22 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _field_closure(family: str, field: str, raw: dict) -> Callable[[float, float], float]:
+def _field_closure(family: str, field: str, raw: dict) -> Callable[[list[float], float], list]:
+    """The field as a function of one grid row ``(xs, y)``, one value per point."""
     if family == "tanh":
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
         B_s, u = build_tanh(C1, C2)
-        return B_s if field == "B" else u
+        f = B_s if field == "B" else u
+        # scalar calls, not one numpy array call: an array moves the last ulps
+        return lambda xs, y: [f(x, y) for x in xs]
     sol, closed = _rational_instance(family, _coerce_params(family, raw))
     target = sol.B if field == "B" else closed.u
 
-    def sample(x: float, y: float) -> float:
-        # exact rational evaluation at the (exactly representable) grid
-        # point, rounded once: the emitted double re-evaluates bit-for-bit;
-        # a pole raises a ZeroDivisionError, which `cmd_grid` turns into nan
-        return float(ratfn_eval(target, (Fraction(x), Fraction(y))))
+    def sample(xs: list[float], y: float) -> list[Fraction]:
+        # exact rational values at the (exactly representable) grid points;
+        # `cmd_grid` rounds each once, so the emitted double re-evaluates
+        # bit-for-bit
+        return target.eval([Fraction(x) for x in xs], Fraction(y))
 
     return sample
 
@@ -273,10 +275,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
     nonfinite = 0
     rows = []
     for y in ys:  # y is the outer loop
-        for x in xs:
+        try:
+            values = f(xs, y)
+        except ZeroDivisionError:
+            # tanh's u divides by C1^2, which can underflow to 0: then every
+            # point raises alike.  A rational denominator M + C is >= C > 0.
+            values = [math.nan] * nx
+        for x, v in zip(xs, values):
             try:
-                value = float(f(x, y))
-            except (OverflowError, ZeroDivisionError):
+                value = float(v)
+            except OverflowError:  # an exact value beyond the double range
                 value = math.nan
             if math.isfinite(value):
                 rows.append((x, y, value))

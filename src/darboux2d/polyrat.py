@@ -37,7 +37,7 @@ import math
 import os
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Exponent = tuple[int, int]
 Scalar = Union[int, Fraction, str]
@@ -263,15 +263,39 @@ class BiPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x: Scalar, y: Scalar) -> Fraction:
-        """Exact value at a rational point."""
-        xv, yv = as_fraction(x), as_fraction(y)
-        xp = _frac_powers(xv, self.degree("x"))
-        yp = _frac_powers(yv, self.degree("y"))
-        total = Fraction(0)
+    def eval(self, x: Scalar | Sequence[Scalar], y: Scalar) -> Fraction | list[Fraction]:
+        """Exact value at a rational point, or along one grid row.
+
+        ``x`` is one scalar, or a list or tuple of them: the points
+        ``(x[k], y)`` of one row, whose values come back as a list (the
+        shape of ``eval_float(x_array, y)``).  Floats are rejected.
+
+        The work stays in integers: the coefficients are cleared to one
+        common denominator, the powers of ``y`` collapse into one integer
+        coefficient per power of ``x``, and each point ``p/q`` runs Horner
+        in ``x`` homogenised by ``q``.  One ``Fraction`` (one gcd) is built
+        per point.
+        """
+        row = isinstance(x, (list, tuple))
+        xs = [as_fraction(v) for v in (x if row else (x,))]
+        yv = as_fraction(y)
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        dx, dy = self.degree("x"), self.degree("y")
+        yn, yd = yv.numerator, yv.denominator
+        ypow = [yn**j * yd ** (dy - j) for j in range(dy + 1)]
+        coeffs = [0] * (dx + 1)  # row polynomial, times scale * yd^dy
         for (i, j), c in self.terms.items():
-            total += c * xp[i] * yp[j]
-        return total
+            coeffs[i] += c.numerator * (scale // c.denominator) * ypow[j]
+        den = scale * ypow[0]
+        values = []
+        for v in xs:
+            p, q = v.numerator, v.denominator
+            acc, qk = coeffs[dx], 1
+            for i in range(dx - 1, -1, -1):
+                qk *= q
+                acc = acc * p + coeffs[i] * qk
+            values.append(Fraction(acc, den * qk))
+        return values if row else values[0]
 
     def eval_float(self, x, y):
         """Float (or numpy-array) value; coefficients are rounded to float.
@@ -464,13 +488,6 @@ def _mul_kronecker(
         if digit != zero:
             acc[divmod(slot, width)] = int.from_bytes(digit, "little") - half
     return acc
-
-
-def _frac_powers(v: Fraction, n: int) -> list[Fraction]:
-    powers = [Fraction(1)]
-    for _ in range(n):
-        powers.append(powers[-1] * v)
-    return powers
 
 
 def _float_powers(v, n: int) -> list:
@@ -677,17 +694,25 @@ class RatFn:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x: Scalar, y: Scalar) -> Fraction:
-        num, den = self.poly.eval(x, y), Fraction(1)
+    def eval(self, x: Scalar | Sequence[Scalar], y: Scalar) -> Fraction | list[Fraction]:
+        """Exact value at a rational point, or along one grid row.
+
+        ``x`` takes the same forms as in :meth:`BiPoly.eval`: the rows of
+        ``poly`` and of each factor are evaluated once and multiplied point
+        by point.  A zero denominator anywhere on the row raises
+        :class:`PoleEvaluationError`.
+        """
+        row = isinstance(x, (list, tuple))
+        xs = x if row else [x]
+        num, den = self.poly.eval(xs, y), [1] * len(xs)
         for f, e in self.factors:
-            v = f.eval(x, y) ** abs(e)
-            if e > 0:
-                num *= v
-            else:
-                den *= v
-        if den == 0:
-            raise PoleEvaluationError(f"denominator vanishes at ({x}, {y})")
-        return num / den
+            side = num if e > 0 else den
+            for k, v in enumerate(f.eval(xs, y)):
+                side[k] *= v ** abs(e)
+        if 0 in den:
+            raise PoleEvaluationError(f"denominator vanishes at ({xs[den.index(0)]}, {y})")
+        values = [n / d for n, d in zip(num, den)]
+        return values if row else values[0]
 
     def eval_float(self, x, y):
         num, den = self.poly.eval_float(x, y), 1.0

@@ -687,7 +687,7 @@ def _run_smooth(key: str, seed: int) -> ResidualReport:
     C = params["C"]
     step = Fraction(2, 5)  # 101 points across [-20, 20]
     lattice = [-20 + step * i for i in range(101)]
-    worst = min(abs(den.eval(x, y)) for x in lattice for y in lattice)
+    worst = min(min(map(abs, den.eval(lattice, y))) for y in lattice)
     detail = {
         "residual_terms": 0,
         "grid": "101x101 on [-20,20]^2",

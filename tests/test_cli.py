@@ -9,8 +9,14 @@ import pytest
 
 from darboux2d.cli import main
 from darboux2d.darboux import R_coeffs
-from darboux2d.families import PRESETS, build_family, closed_potential
-from darboux2d.polyrat import ratfn_eval, ratfn_to_str
+from darboux2d.families import (
+    DEFAULT_PARAMS,
+    PRESETS,
+    build_family,
+    build_preset,
+    closed_potential,
+)
+from darboux2d.polyrat import ratfn_to_str
 
 
 def run_cli(capsys, *argv):
@@ -149,22 +155,36 @@ def test_grid_tsarev1_single_point(capsys):
     assert value == -0.2
 
 
+def _value_by_terms(f, x: Fraction, y: Fraction) -> Fraction:
+    """Oracle: ``f`` as plain Fraction sums over the terms of its polynomials."""
+
+    def poly(p):
+        return sum((c * x**i * y**j for (i, j), c in p.terms.items()), Fraction(0))
+
+    value = poly(f.poly)
+    for g, e in f.factors:
+        value *= poly(g) ** e
+    return value
+
+
 def test_grid_round_trip_matches_exact_eval(capsys):
-    code, out, _ = run_cli(capsys, "grid", "--family", "b1",
-                           "--x", "-1:1:7", "--y", "-1:1:5")
-    assert code == 0
-    from darboux2d.families import PRESETS, closed_potential
-    params = PRESETS["tsarev-1"].params
-    u = closed_potential(
-        "B1", {k: params[k] for k in ("x0", "y0", "x1", "y1", "C")}
-    ).u
-    rows = out.strip().splitlines()[1:]
-    assert len(rows) == 35
-    for row in rows:
-        xs, ys, vs = row.split(",")
-        x, y, v = float(xs), float(ys), float(vs)
-        exact = ratfn_eval(u, (Fraction(x), Fraction(y)))
-        assert v == float(exact)  # bit-for-bit round trip
+    cases = [
+        ("b1", "-1:1:7", "-1:1:5", build_family("B1", DEFAULT_PARAMS["B1"])),
+        # x and y ranges differ, so a row/column swap fails
+        ("tsarev-2", "-1:2:7", "-3:1:5", build_preset("tsarev-2")),
+    ]
+    for family, x_axis, y_axis, sol in cases:
+        code, out, _ = run_cli(capsys, "grid", "--family", family,
+                               "--x", x_axis, "--y", y_axis)
+        assert code == 0
+        u = closed_potential(sol.family_tag, sol.params).u
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 35
+        for row in rows:
+            xs, ys, vs = row.split(",")
+            x, y, v = float(xs), float(ys), float(vs)
+            exact = _value_by_terms(u, Fraction(x), Fraction(y))
+            assert v == float(exact)  # bit-for-bit round trip
 
 
 def test_grid_y_outer_loop_order(capsys):
@@ -207,6 +227,27 @@ def test_grid_nonfinite_values_become_nulls(capsys):
     assert triples[1][2] is None
     summary = json.loads(err.strip().splitlines()[-1])
     assert summary == {"points": 2, "nonfinite": 1}
+
+
+def test_grid_rational_overflow_nulls_only_that_point(capsys):
+    # C = 10^-400: u = -8/C overflows at the origin, and -8C underflows to -0
+    C = "1/1" + "0" * 400
+    code, out, err = run_cli(capsys, "grid", "--family", "b0",
+                             "--x", "-1:1:3", "--y", "0:0:1",
+                             "--params", json.dumps({"C": C}))
+    assert code == 0
+    assert out == "x,y,value\n-1,0,-0\n0,0,\n1,0,-0\n"
+    assert json.loads(err) == {"points": 3, "nonfinite": 1}
+
+
+def test_grid_tanh_underflowing_C1_nulls_every_point(capsys):
+    # C1^2 underflows to 0.0, so u's -2/C1^2 divides by zero at every point
+    code, out, err = run_cli(capsys, "grid", "--family", "tanh",
+                             "--x", "-1:1:3", "--y", "0:1:2",
+                             "--params", json.dumps({"C1": "1/1" + "0" * 200}))
+    assert code == 0
+    assert [r.split(",")[2] for r in out.splitlines()[1:]] == [""] * 6
+    assert json.loads(err) == {"points": 6, "nonfinite": 6}
 
 
 def test_grid_csv_nonfinite_empty_field(capsys):

@@ -261,6 +261,74 @@ def test_eval_is_a_homomorphism(p, a, b):
     assert q.eval(a, b) == p.eval(a, b) ** 2 - 3 * p.eval(a, b)
 
 
+def _sum_terms(p: BiPoly, x: Fraction, y: Fraction) -> Fraction:
+    """Oracle: the value of ``p`` as a plain Fraction sum over its terms."""
+    return sum((c * x**i * y**j for (i, j), c in p.terms.items()), Fraction(0))
+
+
+def _ratfn_by_terms(f: RatFn, x: Fraction, y: Fraction) -> Fraction:
+    value = _sum_terms(f.poly, x, y)
+    for g, e in f.factors:
+        value *= _sum_terms(g, x, y) ** e
+    return value
+
+
+# grid rows mix denominators: integers, small fractions, and the dyadics of
+# floats (denominators up to 2^52)
+_row_points = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-5, max_value=5, max_denominator=30),
+    st.floats(min_value=-20, max_value=20).map(Fraction),
+)
+
+
+@given(
+    st.one_of(polys(), polys(max_exp=0), st.just(ZERO)),
+    st.lists(_row_points, max_size=6),
+    _row_points,
+)
+@settings(max_examples=40, deadline=None)
+def test_row_eval_matches_a_term_by_term_sum(p, row, y):
+    values = p.eval(row, y)
+    assert values == [_sum_terms(p, Fraction(x), Fraction(y)) for x in row]
+    assert all(type(v) is Fraction for v in values)
+    assert p.eval(tuple(row), y) == values
+    for x, v in zip(row, values):
+        assert p.eval(x, y) == v
+    assert p.eval(row, str(Fraction(y))) == values  # "p/q" text for y
+
+
+@given(
+    polys(max_terms=3, max_exp=2),
+    polys(max_terms=3, max_exp=2),
+    st.lists(_row_points, max_size=4),
+    _row_points,
+)
+@settings(max_examples=40, deadline=None)
+def test_ratfn_row_eval_matches_a_term_by_term_quotient(p, q, row, y):
+    den = q * q + Y * Y + 1  # at least 1 at every rational point
+    # one factor in the denominator (squared) and one in the numerator
+    f = RatFn(p, den) * RatFn(X - Y + 3, den) / RatFn(ONE, den + X * X)
+    assert sorted(e for _, e in f.factors) == [-2, 1]
+    assert f.eval(row, y) == [_ratfn_by_terms(f, Fraction(x), Fraction(y)) for x in row]
+
+
+def test_row_eval_through_a_pole_raises_and_floats_are_rejected():
+    f = RatFn(ONE, X * X - Y)
+    assert f.eval([-1, 2, Fraction(1, 3)], 9) == [
+        Fraction(-1, 8), Fraction(-1, 5), Fraction(-9, 80)
+    ]
+    for row in ([3, -1, 2], [-1, 2, -3]):  # a pole first on the row, and last
+        with pytest.raises(PoleEvaluationError):
+            f.eval(row, 9)
+    with pytest.raises(TypeError):
+        (X + Y).eval([1, 0.5], 2)
+    with pytest.raises(TypeError):
+        (X + Y).eval(0.5, 2)
+    with pytest.raises(TypeError):
+        f.eval([Fraction(1, 2), 0.25], 2)
+
+
 # -- factored rational functions --------------------------------------------
 #
 # The oracle is the textbook cross-multiplied fraction (n, d) with the

@@ -148,14 +148,17 @@ def test_dim_guard_lets_exponent_cap_through(monkeypatch):
 
 
 def test_smooth_fails_when_the_denominator_dips_below_C(monkeypatch):
-    # b0 has C = 1; a denominator x^2 + y^2 + 1/2 reaches 1/2 < C at the origin
-    den = X * X + Y * Y + Fraction(1, 2)
-    fake = ClosedPotential(u=RatFn(BiPoly.const(-8), den) / den)
-    monkeypatch.setattr(verify, "closed_potential", lambda tag, params: fake)
-    (rep,) = run_suite(["smooth:b0"], seed=7)
-    assert rep.verdict == "fail"
-    assert rep.detail["min_denominator"] == 0.25
-    assert rep.detail["bound"] == 1.0
+    # b0 has C = 1; each denominator reaches 1/2 < C at one lattice point:
+    # the origin, the lattice centre, and (18, -2/5), off centre at odd
+    # lattice indices (95, 49), which a loop that skips rows or points misses
+    half = Fraction(1, 2)
+    for den in (X * X + Y * Y + half, (X - 18) ** 2 + (Y + Fraction(2, 5)) ** 2 + half):
+        fake = ClosedPotential(u=RatFn(BiPoly.const(-8), den) / den)
+        monkeypatch.setattr(verify, "closed_potential", lambda tag, params: fake)
+        (rep,) = run_suite(["smooth:b0"], seed=7)
+        assert rep.verdict == "fail"
+        assert rep.detail["min_denominator"] == 0.25
+        assert rep.detail["bound"] == 1.0
 
 
 # the first parameter draw of each family at seed 7, fixed so that a change
