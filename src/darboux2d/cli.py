@@ -103,10 +103,12 @@ def _coerce_params(family: str, raw: dict) -> dict:
         if family == "tanh":
             if key not in ("C1", "C2"):
                 raise CliError("invalid-params", f"unknown tanh parameter {key!r}")
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                value = _coerce_rational(key, value)
+            try:
                 params[key] = float(value)
-            else:
-                params[key] = float(_coerce_rational(key, value))
+            except OverflowError as exc:  # an int or rational beyond the double range
+                raise CliError("invalid-params", f"parameter {key}: {exc}") from None
         elif key == "weights_choice":
             if not isinstance(value, list) or len(value) not in (2, 6):
                 raise CliError(
@@ -133,10 +135,7 @@ def _rational_instance(family: str, params: dict):
 
 def _tanh_constants(params: dict) -> tuple[float, float]:
     values = {**DEFAULT_PARAMS["tanh"], **params}
-    C1, C2 = values["C1"], values["C2"]
-    if C1 == 0:
-        raise CliError("invalid-params", "C1 must be nonzero")
-    return C1, C2
+    return values["C1"], values["C2"]
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -158,6 +157,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     raw = _load_params(args.params)
     if family == "tanh":
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
+        build_tanh(C1, C2)  # validates the constants
         b_text = f"B_s = tanh((x*y - {C2:g})/{C1:g})"
         u_text = (f"u = -2*(x^2 + y^2)/({C1:g}^2*cosh((x*y - {C2:g})/{C1:g})^2)")
         if args.format == "json":
@@ -275,13 +275,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     nonfinite = 0
     rows = []
     for y in ys:  # y is the outer loop
-        try:
-            values = f(xs, y)
-        except ZeroDivisionError:
-            # tanh's u divides by C1^2, which can underflow to 0: then every
-            # point raises alike.  A rational denominator M + C is >= C > 0.
-            values = [math.nan] * nx
-        for x, v in zip(xs, values):
+        for x, v in zip(xs, f(xs, y)):
             try:
                 value = float(v)
             except OverflowError:  # an exact value beyond the double range

@@ -68,12 +68,6 @@ def R_coeffs(B: RatFn) -> tuple[RatFn, RatFn]:
     return R1, R2
 
 
-def apply_LD(B: RatFn, F: tuple[RatFn, RatFn]) -> tuple[RatFn, RatFn]:
-    """Apply the matrix operator to an arbitrary differentiable pair."""
-    R1, R2 = R_coeffs(B)
-    return _apply_LD_with(B, R1, R2, F)
-
-
 def _apply_LD_with(
     B: RatFn, R1: RatFn, R2: RatFn, F: tuple[RatFn, RatFn]
 ) -> tuple[RatFn, RatFn]:

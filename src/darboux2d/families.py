@@ -14,9 +14,10 @@ named presets.
 Builders construct numerators through the Laplace-constrained machinery and
 then check exact agreement with the explicit formulas where the latter
 exist -- double-entry bookkeeping against transcription slips.  A mismatch
-raises :class:`ArithmeticError`, also under ``python -O``.  Each builder
-returns B; :func:`build_family` calls one from a flat parameter mapping and
-keeps that mapping on the instance it returns.
+raises :class:`ArithmeticError`, also under ``python -O``.  B1 and B2 pick
+their weights in the solved basis with one solver, `_weights_in_span`.  Each
+builder returns B; :func:`build_family` calls one from a flat parameter
+mapping and keeps that mapping on the instance it returns.
 """
 
 from __future__ import annotations
@@ -97,8 +98,37 @@ def _require_harmonic(N: BiPoly) -> None:
         raise ArithmeticError("pole-sum numerator is not harmonic")
 
 
-def _den_from(M: BiPoly, C: Fraction) -> BiPoly:
-    return M + BiPoly.const(C)
+def _weight_basis(poles: tuple[tuple[Fraction, Fraction], ...]) -> list[tuple[Fraction, ...]]:
+    """The two solved weight vectors of a B1/B2 pole layout (distinct poles only)."""
+    basis = laplace_constrained_numerator(poles)
+    if len(basis) != 2:
+        raise ValueError(
+            f"pole configuration is degenerate: solution space has dimension {len(basis)}"
+        )
+    return basis
+
+
+def _weights_in_span(
+    basis: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]
+) -> tuple[Fraction, ...]:
+    """The combination a*v1 + b*v2 of the basis whose leading entries are ``target``.
+
+    ``target`` is B1's pair (p0, q0) or a full weight vector of B2; the first
+    entry pair with a nonzero 2x2 determinant fixes (a, b).
+    """
+    v1, v2 = basis
+    n = len(target)
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = v1[i] * v2[j] - v1[j] * v2[i]
+            if det:
+                a = (target[i] * v2[j] - target[j] * v2[i]) / det
+                b = (target[j] * v1[i] - target[i] * v1[j]) / det
+                flat = tuple(a * c1 + b * c2 for c1, c2 in zip(v1, v2))
+                if flat[:n] != target:
+                    raise ValueError("weight vector lies outside the solved family")
+                return flat
+    raise ValueError("solved weight space is degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +145,7 @@ def build_B0(p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, C: Scalar) -> RatFn
     explicit = p0 * (X - x0) + q0 * (Y - y0)
     if N != explicit:
         raise ArithmeticError("one-pole numerator disagrees with the explicit linear form")
-    return RatFn(N, _den_from(M, C))
-
-
-def _match_leading_weights(
-    basis: list[tuple[Fraction, ...]], p0: Fraction, q0: Fraction
-) -> tuple[Fraction, ...]:
-    """Combination of two basis vectors whose first weight pair is (p0, q0)."""
-    if len(basis) != 2:
-        raise ValueError(
-            f"pole configuration is degenerate: solution space has dimension {len(basis)}"
-        )
-    v1, v2 = basis
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    if det == 0:
-        raise ValueError("solution space does not realize arbitrary (p0, q0)")
-    a = (p0 * v2[1] - q0 * v2[0]) / det
-    b = (q0 * v1[0] - p0 * v1[1]) / det
-    return tuple(a * c1 + b * c2 for c1, c2 in zip(v1, v2))
+    return RatFn(N, M + C)
 
 
 def build_B1(
@@ -142,11 +155,8 @@ def build_B1(
     p0, q0, x0, y0, x1, y1, C = map(as_fraction, (p0, q0, x0, y0, x1, y1, C))
     _require_nonzero_weight(p0, q0)
     _require_positive_C(C)
-    if (x0, y0) == (x1, y1):
-        raise ValueError("poles must be distinct")
     poles = ((x0, y0), (x1, y1))
-    basis = laplace_constrained_numerator(poles)
-    weights_flat = _match_leading_weights(basis, p0, q0)
+    weights_flat = _weights_in_span(_weight_basis(poles), (p0, q0))
     weights = ((weights_flat[0], weights_flat[1]), (weights_flat[2], weights_flat[3]))
     N, M = pole_sum(PoleConfig(poles=poles, weights=weights))
 
@@ -167,7 +177,7 @@ def build_B1(
     if N != explicit:
         raise ArithmeticError("two-pole numerator disagrees with its closed form")
     _require_harmonic(N)
-    return RatFn(N, _den_from(M, C))
+    return RatFn(N, M + C)
 
 
 def build_B2(
@@ -182,19 +192,13 @@ def build_B2(
     x1, y1, x2, y2, C = map(as_fraction, (x1, y1, x2, y2, C))
     _require_positive_C(C)
     poles = ((Fraction(0), Fraction(0)), (x1, y1), (x2, y2))
-    if len(set(poles)) != 3:
-        raise ValueError("poles must be distinct")
-    basis = laplace_constrained_numerator(poles)
-    if len(basis) != 2:
-        raise ValueError(
-            f"pole configuration is degenerate: solution space has dimension {len(basis)}"
-        )
+    basis = _weight_basis(poles)
     choice = tuple(as_fraction(v) for v in weights_choice)
     if len(choice) == 2:
         a, b = choice
         flat = tuple(a * c1 + b * c2 for c1, c2 in zip(*basis))
     elif len(choice) == 6:
-        flat = _project_into_span(basis, choice)
+        flat = _weights_in_span(basis, choice)
     else:
         raise ValueError("weights_choice must have 2 (basis coords) or 6 (full) entries")
     if all(v == 0 for v in flat):
@@ -202,31 +206,7 @@ def build_B2(
     weights = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(3))
     N, M = pole_sum(PoleConfig(poles=poles, weights=weights))
     _require_harmonic(N)
-    return RatFn(N, _den_from(M, C))
-
-
-def _project_into_span(
-    basis: list[tuple[Fraction, ...]], vec: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    """Validate that ``vec`` is a combination of the two basis vectors."""
-    v1, v2 = basis
-    coeffs = None
-    for i in range(len(vec)):
-        for j in range(i + 1, len(vec)):
-            det = v1[i] * v2[j] - v1[j] * v2[i]
-            if det:
-                a = (vec[i] * v2[j] - vec[j] * v2[i]) / det
-                b = (vec[j] * v1[i] - vec[i] * v1[j]) / det
-                coeffs = (a, b)
-                break
-        if coeffs:
-            break
-    if coeffs is None:
-        raise ValueError("solved weight space is degenerate")
-    a, b = coeffs
-    if any(a * c1 + b * c2 != v for c1, c2, v in zip(v1, v2, vec)):
-        raise ValueError("weight vector lies outside the solved family")
-    return vec
+    return RatFn(N, M + C)
 
 
 def _m_constants(x1: Fraction, y1: Fraction) -> dict[str, Fraction]:
@@ -274,7 +254,7 @@ def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> RatFn
     _require_harmonic(H)
 
     M = _pole_factor((Fraction(0), Fraction(0))) ** 3 * _pole_factor((x1, y1))
-    return RatFn(H, _den_from(M, C))
+    return RatFn(H, M + C)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +279,18 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
     if family_tag == "B0":
         x0, y0, C = _need(params, "x0", "y0", "C")
         _require_positive_C(C)
-        den = (X - x0) ** 2 + (Y - y0) ** 2 + BiPoly.const(C)
+        den = (X - x0) ** 2 + (Y - y0) ** 2 + C
         return ClosedPotential(u=RatFn(BiPoly.const(-8 * C), den) / den)
 
     if family_tag == "B1":
         x0, y0, x1, y1, C = _need(params, "x0", "y0", "x1", "y1", "C")
         _require_positive_C(C)
         if (x0, y0) == (x1, y1):
-            raise ValueError("poles must be distinct")
+            raise ValueError("poles must be pairwise distinct")
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         num = -32 * C * ((X - cx) ** 2 + (Y - cy) ** 2)
         M = ((X - x0) ** 2 + (Y - y0) ** 2) * ((X - x1) ** 2 + (Y - y1) ** 2)
-        den = M + BiPoly.const(C)
+        den = M + C
         return ClosedPotential(u=RatFn(num, den) / den)
 
     if family_tag == "B2":
@@ -318,7 +298,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         _require_positive_C(C)
         poles = ((Fraction(0), Fraction(0)), (x1, y1), (x2, y2))
         if len(set(poles)) != 3:
-            raise ValueError("poles must be distinct")
+            raise ValueError("poles must be pairwise distinct")
         k = {
             "k1": x1 + x2,
             "k2": y1 + y2,
@@ -340,7 +320,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
             * ((X - x1) ** 2 + (Y - y1) ** 2)
             * ((X - x2) ** 2 + (Y - y2) ** 2)
         )
-        den = M + BiPoly.const(C)
+        den = M + C
         return ClosedPotential(u=RatFn(-8 * C * G, den) / den, constants=k)
 
     if family_tag == "B3":
@@ -355,7 +335,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
             * ((X - 3 * x1 / 4) ** 2 + (Y - 3 * y1 / 4) ** 2)
         )
         M = (X**2 + Y**2) ** 3 * ((X - x1) ** 2 + (Y - y1) ** 2)
-        den = M + BiPoly.const(C)
+        den = M + C
         return ClosedPotential(u=RatFn(num, den) / den, constants=_m_constants(x1, y1))
 
     raise ValueError(f"unknown family tag {family_tag!r}")
@@ -379,12 +359,18 @@ def build_tanh(C1: float, C2: float) -> tuple[
 
     u(x, y) = -2 C1^-2 (x^2 + y^2) / cosh^2((xy - C2)/C1), evaluated with an
     overflow-safe sech^2 so both closures are finite at arbitrary points.
-    Both take floats or numpy arrays for x and y.
+    Both take floats or numpy arrays for x and y.  Raises ValueError unless
+    C1 and C2 are finite, C1 is nonzero and 2/C1^2 is a finite float.
     """
     C1 = float(C1)
     C2 = float(C2)
+    if not (math.isfinite(C1) and math.isfinite(C2)):
+        raise ValueError(f"C1 and C2 must be finite, got C1={C1!r}, C2={C2!r}")
     if C1 == 0:
         raise ValueError("C1 must be nonzero")
+    # u's factor -2/C1^2 must be finite, or no value of u is
+    if C1 * C1 == 0 or math.isinf(2.0 / (C1 * C1)):
+        raise ValueError(f"C1 = {C1!r} is too small: 2/C1^2 is not a finite float")
 
     def B_s(x, y):
         return np.tanh((x * y - C2) / C1)

@@ -7,7 +7,7 @@ shared nonzero factor polynomials (:class:`RatFn`); the algebra adds,
 lowers and lifts exponents instead of cross-multiplying, no gcd is ever
 taken, equality is decided by an exact zero test, and evaluation happens
 only at explicit points.  Floats appear solely at the evaluation boundary
-(`eval_float` / `ratfn_eval` with float inputs).
+(`eval_float`).
 
 Terms are stored sparsely as ``{(i, j): coeff}`` with ``i`` the x-exponent and
 ``j`` the y-exponent.  Rendering and parsing use a graded-lexicographic term
@@ -597,9 +597,6 @@ class RatFn:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        raise TypeError("RatFn is not hashable (equality is extensional)")
-
     # -- arithmetic --------------------------------------------------------
 
     def _sum(self, other, sign: int) -> "RatFn":
@@ -799,18 +796,6 @@ def laplacian_ratfn(f: RatFn) -> RatFn:
 def ratfn_is_zero(f: RatFn) -> bool:
     """Exact zero test: the polynomial part is zero (every factor is not)."""
     return f.is_zero()
-
-
-def ratfn_eval(f: RatFn, point: tuple) -> "Fraction | float":
-    """Evaluate at a point: exact for rational inputs, float otherwise.
-
-    Exact evaluation raises :class:`PoleEvaluationError` on a vanishing
-    denominator; float evaluation returns ``nan`` there instead.
-    """
-    x, y = point
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        return f.eval(x, y)
-    return f.eval_float(float(x), float(y))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from darboux2d.polyrat import (
     ExponentCapError,
     RatFn,
     laplacian_ratfn,
-    ratfn_eval,
     ratfn_is_zero,
 )
 
@@ -176,14 +175,6 @@ def check_eq12(B: RatFn) -> ResidualReport:
 def check_schrodinger(Y: RatFn, u: RatFn) -> ResidualReport:
     """Zero-test Y_xx + Y_yy - u Y."""
     return _exact_report("schrodinger", [laplacian_ratfn(Y) - u * Y])
-
-
-def check_potential_system(pair: tuple[RatFn, RatFn]) -> ResidualReport:
-    """Zero-test W_x - Q_y and W_y + Q_x for a pair (W, Q)."""
-    W, Q = pair
-    r1 = W.diff("x") - Q.diff("y")
-    r2 = W.diff("y") + Q.diff("x")
-    return _exact_report("potential-system", [r1, r2])
 
 
 def check_new_potential_system(B: RatFn, out: TransformOutput) -> ResidualReport:
@@ -464,7 +455,7 @@ def _run_potential_tsarev1(seed: int) -> ResidualReport:
     u_pipe = potential_from_B(sol.B)
     u_closed = closed_potential(sol.family_tag, sol.params).u
     residual = u_pipe - u_closed
-    spot = ratfn_eval(u_closed, (Fraction(0), Fraction(0)))
+    spot = u_closed.eval(0, 0)
     report = _exact_report(name, [residual], seed=seed,
                            params=_params_text(sol.params),
                            extra={"origin_value": str(spot)})
@@ -631,21 +622,21 @@ def _run_spot_values(seed: int) -> ResidualReport:
     cases = []
     for C in (Fraction(1), Fraction(3, 2), Fraction(7)):
         u0 = closed_potential("B0", {"x0": 0, "y0": 0, "C": C}).u
-        val = ratfn_eval(u0, (Fraction(0), Fraction(0)))
+        val = u0.eval(0, 0)
         cases.append({
             "check": f"u0(0,0) with C={C}",
             "verdict": "pass" if val == Fraction(-8) / C else "fail",
             "value": str(val),
         })
     u1 = closed_potential("B1", PRESETS["tsarev-1"].params).u
-    val1 = ratfn_eval(u1, (Fraction(0), Fraction(0)))
+    val1 = u1.eval(0, 0)
     cases.append({
         "check": "u1(0,0) tsarev-1",
         "verdict": "pass" if val1 == Fraction(-1, 5) else "fail",
         "value": str(val1),
     })
     u3 = closed_potential("B3", DEFAULT_PARAMS["B3"]).u
-    val3 = ratfn_eval(u3, (Fraction(0), Fraction(0)))
+    val3 = u3.eval(0, 0)
     cases.append({
         "check": "u3(0,0)",
         "verdict": "pass" if val3 == 0 else "fail",

@@ -16,6 +16,7 @@ from darboux2d.families import (
     build_preset,
     closed_potential,
 )
+from darboux2d.harmonic import laplace_constrained_numerator
 from darboux2d.polyrat import ratfn_to_str
 
 
@@ -62,12 +63,38 @@ def test_build_preset_override_reaches_the_potential(capsys):
 
 
 def test_build_coincident_poles_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "build", "--family", "b1",
-        "--params", '{"x0":"1","y0":"2","x1":"1","y1":"2"}',
-    )
-    assert code == 2
-    assert json.loads(err.strip())["error"] == "invalid-params"
+    for family, params in [
+        ("b1", '{"x0":"1","y0":"2","x1":"1","y1":"2"}'),
+        ("b2", '{"x1":"1","y1":"2","x2":"1","y2":"2"}'),
+        ("b2", '{"x1":"0","y1":"0"}'),  # a free pole on the pinned origin
+    ]:
+        code, out, err = run_cli(capsys, "build", "--family", family, "--params", params)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-params",
+                                   "message": "poles must be pairwise distinct"}
+
+
+def test_build_b2_full_weight_vector_matches_basis_coordinates(capsys):
+    # the suite's small b2 layout: poles at 0, 1 and i
+    v1, v2 = laplace_constrained_numerator(((0, 0), (1, 0), (0, 1)))
+    full = [2 * a - 3 * b for a, b in zip(v1, v2)]
+
+    def build(weights):
+        params = {"x1": "1", "y1": "0", "x2": "0", "y2": "1", "C": "1",
+                  "weights_choice": [str(w) for w in weights]}
+        return run_cli(capsys, "build", "--family", "b2", "--params", json.dumps(params))
+
+    code, out, _ = build([2, -3])
+    assert code == 0
+    b_line = next(line for line in out.splitlines() if line.startswith("B = "))
+    code, out_full, _ = build(full)
+    assert code == 0
+    assert b_line in out_full.splitlines()
+
+    code, out, err = build([full[0] + 1, *full[1:]])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid-params",
+                               "message": "weight vector lies outside the solved family"}
 
 
 def test_build_unknown_family_exits_2(capsys):
@@ -240,14 +267,21 @@ def test_grid_rational_overflow_nulls_only_that_point(capsys):
     assert json.loads(err) == {"points": 3, "nonfinite": 1}
 
 
-def test_grid_tanh_underflowing_C1_nulls_every_point(capsys):
-    # C1^2 underflows to 0.0, so u's -2/C1^2 divides by zero at every point
-    code, out, err = run_cli(capsys, "grid", "--family", "tanh",
-                             "--x", "-1:1:3", "--y", "0:1:2",
-                             "--params", json.dumps({"C1": "1/1" + "0" * 200}))
-    assert code == 0
-    assert [r.split(",")[2] for r in out.splitlines()[1:]] == [""] * 6
-    assert json.loads(err) == {"points": 6, "nonfinite": 6}
+@pytest.mark.parametrize("params", [
+    pytest.param('{"C1": "1/1%s"}' % ("0" * 200), id="C1-underflows"),  # C1^2 is 0
+    pytest.param('{"C1": 1e400}', id="C1-inf"),  # JSON reads 1e400 as inf
+    pytest.param('{"C2": 1e400}', id="C2-inf"),
+    pytest.param('{"C1": "1%s"}' % ("0" * 400), id="C1-huge-rational"),
+    pytest.param('{"C2": 1%s}' % ("0" * 400), id="C2-huge-int"),
+])
+@pytest.mark.parametrize("command", [
+    pytest.param(("build",), id="build"),
+    pytest.param(("grid", "--x", "-1:1:3", "--y", "0:1:2"), id="grid"),
+])
+def test_tanh_rejects_constants_outside_the_float_range(capsys, command, params):
+    code, out, err = run_cli(capsys, *command, "--family", "tanh", "--params", params)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid-params"
 
 
 def test_grid_csv_nonfinite_empty_field(capsys):

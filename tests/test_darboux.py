@@ -7,7 +7,6 @@ import pytest
 from darboux2d.darboux import (
     Field2,
     R_coeffs,
-    apply_LD,
     neg_log_field,
     potential_from_B,
     transform_solution,
@@ -63,14 +62,6 @@ def test_transform_satisfies_new_equation(b0):
         residual = laplacian_ratfn(out.Y_tilde) - u * out.Y_tilde
         assert residual.is_zero()
         assert (out.W_tilde - b0 * out.Y_tilde).is_zero()
-
-
-def test_apply_LD_first_component_is_W(b0):
-    pair = harmonic_basis(2)[2]
-    first, second = apply_LD(b0, (RatFn.from_poly(pair.Y), RatFn.from_poly(pair.Q)))
-    out = transform_solution(b0, pair)
-    assert (first - out.W_tilde).is_zero()
-    assert (second - out.Q_tilde).is_zero()
 
 
 def test_neg_log_field_bridge(b0):

@@ -22,7 +22,7 @@ from darboux2d.families import (
     build_tanh,
     closed_potential,
 )
-from darboux2d.polyrat import X, Y, RatFn, laplacian_poly, ratfn_eval
+from darboux2d.polyrat import X, Y, RatFn, laplacian_poly
 
 
 def test_b0_canonical_instance():
@@ -35,7 +35,7 @@ def test_b0_canonical_instance():
 def test_b0_closed_potential_origin():
     for C in (1, Fraction(3, 2), 7):
         u = closed_potential("B0", {"x0": 0, "y0": 0, "C": C}).u
-        assert ratfn_eval(u, (Fraction(0), Fraction(0))) == Fraction(-8) / C
+        assert u.eval(0, 0) == Fraction(-8) / C
 
 
 def test_b0_pipeline_matches_closed_form():
@@ -55,7 +55,7 @@ def test_b1_pipeline_matches_closed_form():
         "B1", {k: params[k] for k in ("x0", "y0", "x1", "y1", "C")}
     ).u
     assert (u_pipe - u_closed).is_zero()
-    assert ratfn_eval(u_closed, (Fraction(0), Fraction(0))) == Fraction(-1, 5)
+    assert u_closed.eval(0, 0) == Fraction(-1, 5)
 
 
 def test_b1_numerators_are_harmonic():
@@ -88,7 +88,7 @@ def test_b2_constants_recorded():
 
 def test_b3_origin_potential_vanishes():
     u = closed_potential("B3", {"x1": 1, "y1": 1, "C": 1}).u
-    assert ratfn_eval(u, (Fraction(0), Fraction(0))) == 0
+    assert u.eval(0, 0) == 0
 
 
 def test_b3_pipeline_matches_closed_form():
@@ -115,8 +115,17 @@ def test_family_tags_and_dispatch():
 
 
 def test_tanh_solution_validation():
-    with pytest.raises(ValueError):
-        build_tanh(0, 0)
+    for C1, C2 in [
+        (0, 0),
+        (1e-200, 0.0),  # C1^2 underflows to 0
+        (1e-160, 0.0),  # C1^2 is subnormal and 2/C1^2 overflows
+        (math.inf, 0.0),
+        (math.nan, 0.0),
+        (1.0, math.inf),
+        (1.0, -math.inf),
+    ]:
+        with pytest.raises(ValueError):
+            build_tanh(C1, C2)
 
 
 def test_tanh_closures_take_arrays():
@@ -174,7 +183,7 @@ def test_preset_override_reaches_the_closed_potential():
     u = closed_potential(sol.family_tag, sol.params).u
     assert (potential_from_B(sol.B) - u).is_zero()
     # u1(0,0) = -32 C |midpoint|^2 / C^2 = -32/(17 C); the preset's C gives -1/5
-    assert ratfn_eval(u, (Fraction(0), Fraction(0))) == Fraction(-32, 51)
+    assert u.eval(0, 0) == Fraction(-32, 51)
 
 
 def test_tsarev2_rationalization_tracks_surds():

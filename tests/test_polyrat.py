@@ -28,7 +28,6 @@ from darboux2d.polyrat import (
     parse_poly,
     parse_ratfn,
     poly_to_str,
-    ratfn_eval,
     ratfn_is_zero,
     ratfn_to_str,
 )
@@ -188,8 +187,8 @@ def test_functional_wrappers_match_methods():
     assert ratfn_is_zero(f * g - 1)
     assert ratfn_is_zero(f / g - f * f)
     assert not ratfn_is_zero(f - g)
-    assert ratfn_eval(f, (Fraction(3), Fraction(4))) == f.eval(3, 4) == Fraction(3, 4)
-    assert ratfn_eval(f, (3.0, 4.0)) == f.eval_float(3.0, 4.0) == 0.75
+    assert f.eval(3, 4) == Fraction(3, 4)
+    assert f.eval_float(3.0, 4.0) == 0.75
 
 
 def test_laplacian_ratfn_matches_double_diff():

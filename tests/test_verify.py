@@ -28,7 +28,6 @@ from darboux2d.verify import (
     _sample,
     check_eq12,
     check_new_potential_system,
-    check_potential_system,
     check_schrodinger,
     fd_residual,
     run_suite,
@@ -76,13 +75,6 @@ def test_check_schrodinger_pass_and_fail():
     bad = check_schrodinger(RatFn.from_poly(X), RatFn.from_poly(ONE))
     assert not bad.passed
     assert bad.detail["residual_terms"] > 0
-
-
-def test_check_potential_system():
-    good = check_potential_system((RatFn.from_poly(X), RatFn.from_poly(Y)))
-    assert good.passed
-    bad = check_potential_system((RatFn.from_poly(X), RatFn.from_poly(-Y)))
-    assert not bad.passed
 
 
 def test_check_new_potential_system_certifies_transform():
