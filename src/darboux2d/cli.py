@@ -138,6 +138,11 @@ def _tanh_constants(params: dict) -> tuple[float, float]:
     return values["C1"], values["C2"]
 
 
+def _float_text(v: float) -> str:
+    """17 significant digits: the text reads back as the same double."""
+    return format(v, ".17g")
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -158,12 +163,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     if family == "tanh":
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
         build_tanh(C1, C2)  # validates the constants
-        b_text = f"B_s = tanh((x*y - {C2:g})/{C1:g})"
-        u_text = (f"u = -2*(x^2 + y^2)/({C1:g}^2*cosh((x*y - {C2:g})/{C1:g})^2)")
+        c1, c2 = _float_text(C1), _float_text(C2)
+        b_text = f"B_s = tanh((x*y - {c2})/{c1})"
+        u_text = f"u = -2*(x^2 + y^2)/({c1}^2*cosh((x*y - {c2})/{c1})^2)"
         if args.format == "json":
             payload = {"family": "tanh", "B": b_text[len("B_s = "):],
                        "u": u_text[len("u = "):],
-                       "constants": {"C1": f"{C1:g}", "C2": f"{C2:g}"}}
+                       "constants": {"C1": c1, "C2": c2}}
             _write_out(json.dumps(payload, sort_keys=True), args.out)
         else:
             _write_out("\n".join(["family: tanh", b_text, u_text]), args.out)
@@ -286,19 +292,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 nonfinite += 1
                 rows.append((x, y, None))
 
-    def fmt(v: float) -> str:
-        return format(v, ".17g")
-
     if args.format == "json":
         body = ",\n".join(
-            f"[{fmt(x)}, {fmt(y)}, {fmt(v) if v is not None else 'null'}]"
+            f"[{_float_text(x)}, {_float_text(y)}, "
+            f"{'null' if v is None else _float_text(v)}]"
             for x, y, v in rows
         )
         text = "[\n" + body + "\n]"
     else:
         lines = ["x,y,value"]
         for x, y, v in rows:
-            lines.append(f"{fmt(x)},{fmt(y)},{fmt(v) if v is not None else ''}")
+            lines.append(f"{_float_text(x)},{_float_text(y)},"
+                         f"{'' if v is None else _float_text(v)}")
         text = "\n".join(lines)
     _write_out(text, args.out)
     print(json.dumps({"points": len(rows), "nonfinite": nonfinite}), file=sys.stderr)
@@ -318,10 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, need_family: bool = True):
-        if need_family:
-            p.add_argument("--family", required=True,
-                           help="b0..b3, tanh, or a preset name (tsarev-1, tsarev-2)")
+    def common(p: argparse.ArgumentParser):
+        p.add_argument("--family", required=True,
+                       help="b0..b3, tanh, or a preset name (tsarev-1, tsarev-2)")
         p.add_argument("--params", default=None,
                        help="JSON object or path to one; rationals as 'p/q' strings")
         p.add_argument("--out", default=None, help="output path (default stdout)")

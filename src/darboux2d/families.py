@@ -388,11 +388,9 @@ def build_tanh(C1: float, C2: float) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_fraction(v: Fraction, digits: int = 40) -> Fraction:
-    """High-precision rational approximation of sqrt(v) (error ~ 10^-digits)."""
-    if v < 0:
-        raise ValueError("negative radicand")
-    scale = 10**digits
+def _sqrt_fraction(v: Fraction) -> Fraction:
+    """Rational approximation of sqrt(v), v >= 0, with error about 10^-40."""
+    scale = 10**40
     return Fraction(math.isqrt(v.numerator * v.denominator * scale * scale),
                     v.denominator * scale)
 

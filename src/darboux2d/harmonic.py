@@ -13,8 +13,8 @@ monomial-wise path integration, and handles the dipole pole sums
 
 whose cleared numerators N_n, constrained to be harmonic, feed the rational
 solution families.  The harmonicity constraint is an exact rational linear
-system in the weights (p_i, q_i); its solution space is computed by
-fraction-free Gaussian elimination and returned as a canonically scaled basis.
+system in the weights (p_i, q_i); its solution space is computed by exact
+row reduction and returned as a canonically scaled basis.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def laplace_constrained_numerator(
 
     The Laplacian of N_n is linear in the weights, so harmonicity is an exact
     homogeneous linear system over Q: one equation per monomial of the
-    expanded Laplacian.  The nullspace is computed fraction-free and returned
-    as integer-coordinate vectors with content 1, first nonzero entry
+    expanded Laplacian.  The nullspace is computed by exact row reduction and
+    returned as integer-coordinate vectors with content 1, first nonzero entry
     positive, in free-variable order.  An empty list means only the trivial
     weight vector works for this pole layout.
     """
@@ -177,63 +177,36 @@ def laplace_constrained_numerator(
 
 
 def _nullspace(rows: list[list[Fraction]], n_cols: int) -> list[tuple[Fraction, ...]]:
-    """Nullspace basis by fraction-free (Bareiss) elimination over Z.
+    """Nullspace basis by exact (Gauss-Jordan) row reduction over Q.
 
-    Each row is scaled to primitive integers first (row scaling preserves the
-    nullspace), the forward pass uses the exact two-row determinant update
-    with division by the previous pivot, and back-substitution for the free
-    columns runs over Fractions before canonical integer rescaling.
+    Free column f gives the unique vector with 1 at f, 0 at the other free
+    columns and -R[k][f] at the pivot column of reduced row k, scaled to
+    integers with content 1 and first nonzero entry positive.
     """
-    mat = [ints for ints in map(_primitive_ints, rows) if any(ints)]
-
+    mat = [[Fraction(v) for v in row] for row in rows]
     pivot_cols: list[int] = []
-    rank = 0
-    prev_pivot = 1
     for col in range(n_cols):
+        rank = len(pivot_cols)
         pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
         pivot = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col]
-            for c in range(n_cols):
-                q, rem = divmod(mat[r][c] * pivot - factor * mat[rank][c], prev_pivot)
-                if rem != 0:
-                    raise ArithmeticError("fraction-free update must divide exactly")
-                mat[r][c] = q
-        prev_pivot = pivot
+        mat[rank] = [v / pivot for v in mat[rank]]
+        for r, row in enumerate(mat):
+            if r != rank and row[col]:
+                mat[r] = [a - row[col] * b for a, b in zip(row, mat[rank])]
         pivot_cols.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
 
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     basis: list[tuple[Fraction, ...]] = []
-    for free in free_cols:
+    for free in (c for c in range(n_cols) if c not in pivot_cols):
         vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
-        for idx in reversed(range(len(pivot_cols))):
-            col = pivot_cols[idx]
-            row = mat[idx]
-            acc = sum((Fraction(row[c]) * vec[c] for c in range(col + 1, n_cols)),
-                      Fraction(0))
-            vec[col] = -acc / row[col]
-        basis.append(_canonical_int_vector(vec))
+        for row, col in zip(mat, pivot_cols):
+            vec[col] = -row[free]
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        lead = next(v for v in ints if v)
+        content = math.gcd(*ints) if lead > 0 else -math.gcd(*ints)
+        basis.append(tuple(Fraction(v // content) for v in ints))
     return basis
-
-
-def _primitive_ints(values: Sequence[Fraction]) -> list[int]:
-    """``values`` scaled to integers with no common factor; zeros stay zeros."""
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
-    content = math.gcd(*ints)
-    return [v // content for v in ints] if content else ints
-
-
-def _canonical_int_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
-    ints = _primitive_ints(vec)
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)

@@ -10,9 +10,9 @@ only at explicit points.  Floats appear solely at the evaluation boundary
 (`eval_float`).
 
 Terms are stored sparsely as ``{(i, j): coeff}`` with ``i`` the x-exponent and
-``j`` the y-exponent.  Rendering and parsing use a graded-lexicographic term
-order (total degree descending, then x-exponent descending) so that the text
-form of a polynomial is canonical.
+``j`` the y-exponent.  Rendering uses a graded-lexicographic term order
+(total degree descending, then x-exponent descending) so that the text form
+of a polynomial is canonical.
 
 Products clear denominators to integers, then multiply either pair by pair
 (schoolbook, for small or sparse operands) or by Kronecker substitution (for
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -164,9 +163,6 @@ class BiPoly:
         if isinstance(other, (int, Fraction)):
             return self.terms == BiPoly.const(other).terms
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -835,64 +831,8 @@ def poly_to_str(p: BiPoly) -> str:
     return " ".join(pieces)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?"
-    r"(?:\*?(?P<xs>x(?:\^\d+)?))?"
-    r"(?:\*?(?P<ys>y(?:\^\d+)?))?$"
-)
-
-
-def parse_poly(text: str) -> BiPoly:
-    """Inverse of :func:`poly_to_str` (also accepts ``**`` and loose spacing)."""
-    compact = text.replace(" ", "").replace("**", "^")
-    if not compact:
-        raise ValueError("empty polynomial text")
-    # split into signed chunks at top level (no parentheses in poly text)
-    chunks: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if compact[0] in "+-":
-        sign = -1 if compact[0] == "-" else 1
-        start = 1
-    cur = []
-    for ch in compact[start:]:
-        if ch in "+-" and cur and cur[-1] not in "*/^":
-            chunks.append((sign, "".join(cur)))
-            sign = -1 if ch == "-" else 1
-            cur = []
-        else:
-            cur.append(ch)
-    chunks.append((sign, "".join(cur)))
-
-    terms: dict[Exponent, Fraction] = {}
-    for sgn, chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk:
-            raise ValueError(f"cannot parse polynomial term {chunk!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        i = j = 0
-        if m.group("xs"):
-            i = int(m.group("xs")[2:]) if "^" in m.group("xs") else 1
-        if m.group("ys"):
-            j = int(m.group("ys")[2:]) if "^" in m.group("ys") else 1
-        key = (i, j)
-        acc = terms.get(key, Fraction(0)) + sgn * coeff
-        if acc:
-            terms[key] = acc
-        elif key in terms:
-            del terms[key]
-    return BiPoly._raw(terms)
-
-
 def ratfn_to_str(f: RatFn) -> str:
     """Canonical text ``(num)/(den)``; a unit denominator prints as plain poly."""
     if f.den == ONE:
         return poly_to_str(f.num)
     return f"({poly_to_str(f.num)})/({poly_to_str(f.den)})"
-
-
-def parse_ratfn(text: str) -> RatFn:
-    stripped = text.strip()
-    if stripped.startswith("(") and stripped.endswith(")") and ")/(" in stripped:
-        num_text, den_text = stripped[1:-1].split(")/(", 1)
-        return RatFn(parse_poly(num_text), parse_poly(den_text))
-    return RatFn(parse_poly(stripped), ONE)

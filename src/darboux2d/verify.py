@@ -358,28 +358,24 @@ def _params_text(params: dict) -> dict:
 
 
 def _aggregate(
-    name: str, mode: str, cases: list[dict], seed: int, params: dict | None = None
+    name: str, cases: list[dict], seed: int, params: dict | None = None
 ) -> ResidualReport:
     verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
-    detail: dict = {"cases": cases}
-    if mode == "exact":
-        detail["residual_terms"] = sum(c.get("residual_terms", 0) for c in cases)
-    else:
-        residuals = [c["max_residual"] for c in cases if c.get("max_residual") is not None]
-        detail["max_residual"] = max(residuals) if residuals else None
+    detail = {
+        "cases": cases,
+        "residual_terms": sum(c.get("residual_terms", 0) for c in cases),
+    }
     return ResidualReport(
-        check_name=name, mode=mode, verdict=verdict, detail=detail,
+        check_name=name, mode="exact", verdict=verdict, detail=detail,
         params=params or {}, seed=seed,
     )
 
 
-def _case_from(report: ResidualReport, **labels) -> dict:
+def _case_from(*reports: ResidualReport, **labels) -> dict:
+    """A case from exact reports: it passes when all pass; residual terms add."""
     case = dict(labels)
-    case["verdict"] = report.verdict
-    if report.mode == "exact":
-        case["residual_terms"] = report.detail.get("residual_terms", 0)
-    else:
-        case["max_residual"] = report.detail.get("max_residual")
+    case["verdict"] = "pass" if all(r.passed for r in reports) else "fail"
+    case["residual_terms"] = sum(r.detail["residual_terms"] for r in reports)
     return case
 
 
@@ -404,7 +400,7 @@ def _run_eq12_family(key: str, seed: int) -> ResidualReport:
             rep = check_eq12(Bv)
             cases.append(_case_from(rep, draw=draw, variant=label,
                                     params=_params_text(params)))
-    return _aggregate(name, "exact", cases, seed)
+    return _aggregate(name, cases, seed)
 
 
 def _run_eq12_harmonic(seed: int) -> ResidualReport:
@@ -414,7 +410,7 @@ def _run_eq12_harmonic(seed: int) -> ResidualReport:
     for k in range(1, 6):
         rep = check_eq12(RatFn.from_poly(pairs[k].Y))
         cases.append(_case_from(rep, degree=k))
-    return _aggregate(name, "exact", cases, seed)
+    return _aggregate(name, cases, seed)
 
 
 def _run_eq12_counterexample(seed: int) -> ResidualReport:
@@ -446,7 +442,7 @@ def _run_potential_family(key: str, seed: int) -> ResidualReport:
         residual = u_pipe - u_closed
         rep = _exact_report(f"{name}[{draw}]", [residual])
         cases.append(_case_from(rep, draw=draw, params=_params_text(params)))
-    return _aggregate(name, "exact", cases, seed)
+    return _aggregate(name, cases, seed)
 
 
 def _run_potential_tsarev1(seed: int) -> ResidualReport:
@@ -540,15 +536,8 @@ def _run_transform_family(key: str, seed: int) -> ResidualReport:
         rep_p = check_new_potential_system(B, out)
         w_residual = out.W_tilde - B * out.Y_tilde
         rep_w = _exact_report("w", [w_residual])
-        verdict = "pass" if all(r.verdict == "pass" for r in (rep_s, rep_p, rep_w)) else "fail"
-        cases.append({
-            "seed_pair": label,
-            "verdict": verdict,
-            "residual_terms": (rep_s.detail["residual_terms"]
-                               + rep_p.detail["residual_terms"]
-                               + rep_w.detail["residual_terms"]),
-        })
-    return _aggregate(name, "exact", cases, seed,
+        cases.append(_case_from(rep_s, rep_p, rep_w, seed_pair=label))
+    return _aggregate(name, cases, seed,
                       params={"family": key, "preset": sol.preset})
 
 
@@ -642,7 +631,7 @@ def _run_spot_values(seed: int) -> ResidualReport:
         "verdict": "pass" if val3 == 0 else "fail",
         "value": str(val3),
     })
-    return _aggregate(name, "exact", cases, seed)
+    return _aggregate(name, cases, seed)
 
 
 _DECAY_EXPONENT = {"b0": -4.0, "b1": -6.0, "b2": -8.0, "b3": -10.0}
@@ -727,7 +716,7 @@ def _run_dim(key: str, seed: int) -> ResidualReport:
                 entry["explicit_in_span"] = False
         entry["verdict"] = "pass" if ok else "fail"
         cases.append(entry)
-    return _aggregate(name, "exact", cases, seed)
+    return _aggregate(name, cases, seed)
 
 
 def _run_fd_order(seed: int) -> ResidualReport:

@@ -3,8 +3,13 @@
 One test per numbered criterion; each prints a single PASS/FAIL line (with
 its pinned tolerance) to the live terminal and then asserts.  The full
 certification battery runs once per session with a fixed seed, so the gate
-is deterministic end to end.
+is deterministic end to end, and its exact reports are compared with the
+recorded seed-7 reports in ``tests/data``.
 """
+
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +131,15 @@ def test_criterion_9_fd_order(reports, capfd):
               f"FD residual ratio under h -> h/2 gives order "
               f"{rep.detail['exponent']:.3f} [tolerance: 4 +/- 0.3]", ok)
     assert ok
+
+
+def test_exact_reports_match_the_recorded_seed_7_reports(reports):
+    # exact reports hold only ints, strings and floats of Fractions, so the
+    # recorded text does not depend on numpy or libm; a target added later
+    # is simply not in the file
+    path = Path(__file__).parent / "data" / "exact_reports_seed7.json"
+    recorded = json.loads(path.read_text())
+    assert recorded
+    for name, expected in recorded.items():
+        got = json.loads(json.dumps(asdict(reports[name]), sort_keys=True, default=str))
+        assert got == expected, name

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from darboux2d import cli
 from darboux2d.cli import main
 from darboux2d.darboux import R_coeffs
 from darboux2d.families import (
@@ -42,6 +43,30 @@ def test_build_tanh_formula(capsys):
     assert code == 0
     assert "tanh((x*y - 0)/1)" in out
     assert "cosh" in out
+
+
+def test_build_tanh_prints_the_constants_it_evaluates(capsys, monkeypatch):
+    evaluated = []
+    build_tanh = cli.build_tanh
+
+    def recording_build_tanh(C1, C2):
+        evaluated.append((C1, C2))
+        return build_tanh(C1, C2)
+
+    monkeypatch.setattr(cli, "build_tanh", recording_build_tanh)
+    params = '{"C1":"1/3","C2":"123456789/1000"}'
+    code, out, _ = run_cli(capsys, "build", "--family", "tanh", "--params", params,
+                           "--format", "json")
+    assert code == 0
+    assert evaluated == [(float(Fraction(1, 3)), 123456.789)]
+    payload = json.loads(out)
+    c1, c2 = payload["constants"]["C1"], payload["constants"]["C2"]
+    assert (float(c1), float(c2)) == evaluated[0]
+    assert payload["B"] == f"tanh((x*y - {c2})/{c1})"
+    assert f"({c1}^2*cosh((x*y - {c2})/{c1})^2)" in payload["u"]
+    code, out, _ = run_cli(capsys, "build", "--family", "tanh", "--params", params)
+    assert code == 0
+    assert f"B_s = tanh((x*y - {c2})/{c1})" in out
 
 
 def test_build_json_format(capsys):

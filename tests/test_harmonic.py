@@ -1,12 +1,19 @@
 """Harmonic seed machinery tests."""
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from darboux2d.families import PRESETS
 from darboux2d.harmonic import (
     HarmonicPair,
     PoleConfig,
+    _nullspace,
     conjugate,
     harmonic_basis,
     laplace_constrained_numerator,
@@ -21,6 +28,9 @@ from darboux2d.polyrat import (
     laplacian_poly,
     laplacian_ratfn,
 )
+from darboux2d.verify import _family_instance
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_harmonic_basis_low_degrees():
@@ -130,3 +140,70 @@ def test_constrained_numerator_members_are_harmonic():
         cfg = PoleConfig(poles=poles, weights=weights)
         N, _ = pole_sum(cfg)
         assert laplacian_poly(N).is_zero()
+
+
+# weight bases recorded with an independent (fraction-free Bareiss)
+# elimination; the canonical scaling makes each basis vector unique, so any
+# correct elimination reproduces them exactly
+_RECORDED_BASES = json.loads((DATA / "weight_bases.json").read_text())
+
+
+def _fractions(rows) -> list:
+    return [tuple(Fraction(v) for v in row) for row in rows]
+
+
+def test_recorded_layouts_are_the_ones_the_program_uses():
+    layouts = {name: _fractions(e["poles"]) for name, e in _RECORDED_BASES.items()}
+    origin = (Fraction(0), Fraction(0))
+    p = PRESETS["tsarev-2"].params
+    assert layouts["tsarev-2"] == [origin, (p["x1"], p["y1"]), (p["x2"], p["y2"])]
+    q = _family_instance("b2").params
+    assert layouts["family-b2"] == [origin, (q["x1"], q["y1"]), (q["x2"], q["y2"])]
+    # the three random pole sets of the seed-7 dim:b2 target (its first set
+    # is the tsarev-2 layout)
+    reports = json.loads((DATA / "exact_reports_seed7.json").read_text())
+    drawn = [case["poles"] for case in reports["dim:b2"]["detail"]["cases"][1:]]
+    assert [_RECORDED_BASES[f"dim-b2-{i}"]["poles"] for i in (1, 2, 3)] == drawn
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDED_BASES))
+def test_weight_basis_matches_the_recorded_basis(name):
+    entry = _RECORDED_BASES[name]
+    basis = laplace_constrained_numerator(_fractions(entry["poles"]))
+    assert basis == _fractions(entry["basis"])
+
+
+_small = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+_digits13 = st.builds(Fraction, st.integers(-10**13, 10**13), st.integers(1, 10**13))
+
+
+def _layouts(coord):
+    return st.lists(st.tuples(coord, coord), min_size=1, max_size=3, unique=True)
+
+
+@given(st.one_of(_layouts(_small), _layouts(_digits13)))
+@settings(max_examples=40, deadline=None)
+def test_weight_basis_is_canonical_and_harmonic(poles):
+    basis = laplace_constrained_numerator(poles)
+    assert len(basis) == 2
+    for vec in basis:
+        assert all(v.denominator == 1 for v in vec)
+        assert math.gcd(*(int(v) for v in vec)) == 1
+        assert next(v for v in vec if v) > 0
+        weights = [(vec[2 * i], vec[2 * i + 1]) for i in range(len(poles))]
+        N, _ = pole_sum(PoleConfig(poles=poles, weights=weights))
+        assert laplacian_poly(N).is_zero()
+
+
+def test_nullspace_without_rows_is_the_unit_vectors():
+    assert _nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_nullspace_ignores_zero_and_repeated_rows():
+    rows = [[Fraction(1), Fraction(2), Fraction(-1)],
+            [Fraction(0), Fraction(3), Fraction(1, 2)]]
+    # x + 2y - z = 0 and 3y + z/2 = 0
+    assert _nullspace(rows, 3) == [(8, -1, 6)]
+    zero = [Fraction(0)] * 3
+    assert _nullspace([*rows, zero], 3) == [(8, -1, 6)]
+    assert _nullspace([zero, rows[1], rows[0], rows[1]], 3) == [(8, -1, 6)]

@@ -1,0 +1,50 @@
+"""Every module-level import in src/ and tests/ is used.
+
+A name counts as used when the module reads it anywhere or lists it in
+``__all__``; ``from __future__`` imports are compiler directives and are
+skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    used: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    used.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_level_imports_are_used(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_scan_sees_unused_and_exported_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, re\n"
+        "import os.path as osp\n"
+        "from math import gcd, lcm\n"
+        "__all__ = ['lcm']\n"
+        "print(os.sep, gcd)\n"
+    )
+    assert _unused_imports(source) == ["re (line 2)", "osp (line 3)"]

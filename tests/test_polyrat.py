@@ -2,6 +2,7 @@
 
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,6 @@ from darboux2d.polyrat import (
     as_fraction,
     laplacian_poly,
     laplacian_ratfn,
-    parse_poly,
-    parse_ratfn,
     poly_to_str,
     ratfn_is_zero,
     ratfn_to_str,
@@ -119,10 +118,7 @@ def test_poly_text_round_trip():
     p = Fraction(3, 2) * X ** 2 * Y - X + Fraction(5, 7)
     text = poly_to_str(p)
     assert text == "3/2*x^2*y - x + 5/7"
-    assert parse_poly(text) == p
-    assert parse_poly("x^2 - y^2") == X ** 2 - Y ** 2
     assert poly_to_str(ZERO) == "0"
-    assert parse_poly("0").is_zero()
 
 
 def test_poly_text_graded_lex_order():
@@ -174,10 +170,7 @@ def test_ratfn_text_round_trip():
     f = RatFn(X ** 2 - Y, 2 * X * Y + 3)
     text = ratfn_to_str(f)
     assert text == "(x^2 - y)/(2*x*y + 3)"
-    g = parse_ratfn(text)
-    assert (f - g).is_zero()
     assert ratfn_to_str(RatFn.from_poly(X + 1)) == "x + 1"
-    assert parse_ratfn("x + 1") == RatFn.from_poly(X + 1)
 
 
 def test_functional_wrappers_match_methods():
@@ -247,10 +240,16 @@ def test_product_rule(p, q):
     assert (p * q).diff("x") == p.diff("x") * q + p * q.diff("x")
 
 
-@given(polys())
+def _eval_text(text: str, x: Fraction, y: Fraction) -> Fraction:
+    """Read rendered polynomial text as exact arithmetic at (x, y)."""
+    source = re.sub(r"(\d+)/(\d+)", r"Fraction(\1, \2)", text).replace("^", "**")
+    return eval(source, {"Fraction": Fraction, "x": x, "y": y})
+
+
+@given(polys(), st.fractions(max_denominator=5), st.fractions(max_denominator=5))
 @settings(max_examples=60, deadline=None)
-def test_text_round_trip_property(p):
-    assert parse_poly(poly_to_str(p)) == p
+def test_rendered_text_evaluates_to_the_polynomial(p, a, b):
+    assert _eval_text(poly_to_str(p), a, b) == p.eval(a, b)
 
 
 @given(polys(), st.fractions(max_denominator=5), st.fractions(max_denominator=5))
