@@ -8,7 +8,7 @@ numerically (finite-difference residuals on grids).
 """
 
 from darboux2d.polyrat import BiPoly, RatFn
-from darboux2d.harmonic import HarmonicPair, PoleConfig
+from darboux2d.harmonic import HarmonicPair
 from darboux2d.families import RationalSolution, ClosedPotential
 from darboux2d.darboux import TransformOutput
 from darboux2d.verify import GridSpec, ResidualReport
@@ -17,7 +17,6 @@ __all__ = [
     "BiPoly",
     "RatFn",
     "HarmonicPair",
-    "PoleConfig",
     "RationalSolution",
     "ClosedPotential",
     "TransformOutput",

@@ -11,12 +11,15 @@ hyperbolic pair B_s = tanh((xy - C2)/C1) with its potential.  Parameter sets
 matching the two Moutard-derived potentials of Taimanov and Tsarev ship as
 named presets.
 
-Builders construct numerators through the Laplace-constrained machinery and
-then check exact agreement with the explicit formulas where the latter
-exist -- double-entry bookkeeping against transcription slips.  A mismatch
-raises :class:`ArithmeticError`, also under ``python -O``.  B1 and B2 pick
-their weights in the solved basis with one solver, `_weights_in_span`.  Each
-builder returns B; :func:`build_family` calls one from a flat parameter
+Every rational family is B = Re(mu P)/(|P|^2 + C), where the pole polynomial
+P(z) = prod (z - z_i)^m_i has the family's poles as its roots; one
+constructor, `_pole_B`, builds all four.  A dipole weight (p_i, q_i) at a
+simple root fixes conj(mu) = (p_i + i q_i) P'(z_i).  B2's weights are picked
+in the basis `laplace_constrained_numerator` solves, with `_weights_in_span`
+for a full weight vector.  B0, B1 and B3 then check exact agreement with
+their explicit numerators -- double-entry bookkeeping against transcription
+slips.  A mismatch raises :class:`ArithmeticError`, also under ``python -O``.
+Each builder returns B; :func:`build_family` calls one from a flat parameter
 mapping and keeps that mapping on the instance it returns.
 """
 
@@ -29,21 +32,15 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from darboux2d.harmonic import (
-    PoleConfig,
-    _pole_factor,
-    harmonic_basis,
-    laplace_constrained_numerator,
-    pole_sum,
-)
+from darboux2d.harmonic import harmonic_basis, laplace_constrained_numerator
 from darboux2d.polyrat import (
     X,
     Y,
+    ZERO,
     BiPoly,
     RatFn,
     Scalar,
     as_fraction,
-    laplacian_poly,
 )
 
 # family key (as the CLI and the suite name it) -> family tag
@@ -93,28 +90,14 @@ def _require_nonzero_weight(p: Fraction, q: Fraction) -> None:
         raise ValueError("weight vector (p, q) must be nonzero")
 
 
-def _require_harmonic(N: BiPoly) -> None:
-    if not laplacian_poly(N).is_zero():
-        raise ArithmeticError("pole-sum numerator is not harmonic")
-
-
-def _weight_basis(poles: tuple[tuple[Fraction, Fraction], ...]) -> list[tuple[Fraction, ...]]:
-    """The two solved weight vectors of a B1/B2 pole layout (distinct poles only)."""
-    basis = laplace_constrained_numerator(poles)
-    if len(basis) != 2:
-        raise ValueError(
-            f"pole configuration is degenerate: solution space has dimension {len(basis)}"
-        )
-    return basis
-
-
 def _weights_in_span(
     basis: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]
 ) -> tuple[Fraction, ...]:
     """The combination a*v1 + b*v2 of the basis whose leading entries are ``target``.
 
-    ``target`` is B1's pair (p0, q0) or a full weight vector of B2; the first
-    entry pair with a nonzero 2x2 determinant fixes (a, b).
+    ``target`` is a full weight vector of B2, or the first weight pair of a
+    layout (the `dim:b1` target's); the first entry pair with a nonzero 2x2
+    determinant fixes (a, b).
     """
     v1, v2 = basis
     n = len(target)
@@ -131,6 +114,49 @@ def _weights_in_span(
     raise ValueError("solved weight space is degenerate")
 
 
+def _cmul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
+    """Product of two Gaussian rationals given as (real, imaginary) pairs."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _pole_B(roots, weights, C: Fraction) -> RatFn:
+    """B = Re(mu P)/(|P|^2 + C) with P(z) = prod (z - z_i)^m_i, z = x + iy.
+
+    ``roots`` lists the distinct poles with their multiplicities,
+    ((x_i, y_i), m_i).  ``weights`` maps the index of a simple root to its
+    dipole weight (p_i, q_i), the residue data of the pole sum
+    sum_i (p_i (x - x_i) + q_i (y - y_i))/|z - z_i|^2; each fixes
+    conj(mu) = (p_i + i q_i) prod_{j != i} (z_i - z_j)^m_j, and all of them
+    must fix the same mu, or ArithmeticError is raised.
+    """
+    conj_mus = set()
+    for i, conj_mu in weights.items():
+        (xi, yi), _ = roots[i]
+        for j, ((xj, yj), mj) in enumerate(roots):
+            for _ in range(mj if j != i else 0):
+                conj_mu = _cmul(conj_mu, (xi - xj, yi - yj))
+        conj_mus.add(conj_mu)
+    if len(conj_mus) != 1:
+        raise ArithmeticError(
+            "dipole weights fix different multipliers mu: the pole sum is not harmonic"
+        )
+    ((c, d),) = conj_mus
+
+    # coefficients a_k of P(z) = sum a_k z^k, lowest degree first
+    coeffs = [(Fraction(1), Fraction(0))]
+    for (x, y), m in roots:
+        for _ in range(m):
+            shifted = [_cmul(a, (-x, -y)) for a in coeffs] + [(0, 0)]
+            coeffs = [(a[0] + b[0], a[1] + b[1])
+                      for a, b in zip([(0, 0), *coeffs], shifted)]
+    re_P = im_P = ZERO
+    for (a, b), pair in zip(coeffs, harmonic_basis(len(coeffs) - 1)):
+        re_P = re_P + a * pair.Y - b * pair.Q
+        im_P = im_P + a * pair.Q + b * pair.Y
+    # mu = c - id, so Re(mu P) = c Re P + d Im P
+    return RatFn(c * re_P + d * im_P, re_P * re_P + im_P * im_P + C)
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -141,24 +167,23 @@ def build_B0(p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, C: Scalar) -> RatFn
     p0, q0, x0, y0, C = map(as_fraction, (p0, q0, x0, y0, C))
     _require_nonzero_weight(p0, q0)
     _require_positive_C(C)
-    N, M = pole_sum(PoleConfig(poles=((x0, y0),), weights=((p0, q0),)))
+    B = _pole_B((((x0, y0), 1),), {0: (p0, q0)}, C)
     explicit = p0 * (X - x0) + q0 * (Y - y0)
-    if N != explicit:
+    if B.num != explicit:
         raise ArithmeticError("one-pole numerator disagrees with the explicit linear form")
-    return RatFn(N, M + C)
+    return B
 
 
 def build_B1(
     p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, x1: Scalar, y1: Scalar, C: Scalar
 ) -> RatFn:
-    """Two-pole family B = N/(M + C), the second weight pair forced by harmonicity."""
+    """Two-pole family B = N/(M + C), weight (p0, q0) at the pole (x0, y0)."""
     p0, q0, x0, y0, x1, y1, C = map(as_fraction, (p0, q0, x0, y0, x1, y1, C))
     _require_nonzero_weight(p0, q0)
     _require_positive_C(C)
-    poles = ((x0, y0), (x1, y1))
-    weights_flat = _weights_in_span(_weight_basis(poles), (p0, q0))
-    weights = ((weights_flat[0], weights_flat[1]), (weights_flat[2], weights_flat[3]))
-    N, M = pole_sum(PoleConfig(poles=poles, weights=weights))
+    if (x0, y0) == (x1, y1):
+        raise ValueError("poles must be pairwise distinct")
+    B = _pole_B((((x0, y0), 1), ((x1, y1), 1)), {0: (p0, q0)}, C)
 
     # independent rendering of the same numerator, straight from the closed form
     d1 = p0 * (x0 - x1) - q0 * (y0 - y1)
@@ -174,10 +199,9 @@ def build_B1(
         + (2 * p0 * w - q0 * s) * Y
         - BiPoly.const(p0 * (x0 * r1 - x1 * r0) + q0 * (y0 * r1 - y1 * r0))
     )
-    if N != explicit:
+    if B.num != explicit:
         raise ArithmeticError("two-pole numerator disagrees with its closed form")
-    _require_harmonic(N)
-    return RatFn(N, M + C)
+    return B
 
 
 def build_B2(
@@ -187,12 +211,17 @@ def build_B2(
 
     ``weights_choice`` is either a pair (a, b) of coordinates in the solved
     two-dimensional weight basis, or a full six-component weight vector that
-    must lie in that space.
+    must lie in that space.  The weights at the three poles must fix one
+    multiplier mu of the pole polynomial, or ArithmeticError is raised.
     """
     x1, y1, x2, y2, C = map(as_fraction, (x1, y1, x2, y2, C))
     _require_positive_C(C)
     poles = ((Fraction(0), Fraction(0)), (x1, y1), (x2, y2))
-    basis = _weight_basis(poles)
+    basis = laplace_constrained_numerator(poles)
+    if len(basis) != 2:
+        raise ValueError(
+            f"pole configuration is degenerate: solution space has dimension {len(basis)}"
+        )
     choice = tuple(as_fraction(v) for v in weights_choice)
     if len(choice) == 2:
         a, b = choice
@@ -203,10 +232,8 @@ def build_B2(
         raise ValueError("weights_choice must have 2 (basis coords) or 6 (full) entries")
     if all(v == 0 for v in flat):
         raise ValueError("weight vector is zero")
-    weights = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(3))
-    N, M = pole_sum(PoleConfig(poles=poles, weights=weights))
-    _require_harmonic(N)
-    return RatFn(N, M + C)
+    weights = {i: (flat[2 * i], flat[2 * i + 1]) for i in range(3)}
+    return _pole_B(tuple((pole, 1) for pole in poles), weights, C)
 
 
 def _m_constants(x1: Fraction, y1: Fraction) -> dict[str, Fraction]:
@@ -221,40 +248,28 @@ def _m_constants(x1: Fraction, y1: Fraction) -> dict[str, Fraction]:
 def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> RatFn:
     """Confluent family: triple pole at the origin plus one free pole.
 
-    The numerator is assembled in the degree-(3,4) harmonic basis (the
-    Laplace constraint is built in) and cross-checked against its explicit
-    expanded form; the denominator is (x^2+y^2)^3 ((x-x1)^2+(y-y1)^2) + C.
+    P(z) = z^3 (z - z1), the weight (p1, q1) sits at z1, and the numerator is
+    cross-checked against its explicit expanded form in the m-constants; the
+    denominator is (x^2+y^2)^3 ((x-x1)^2+(y-y1)^2) + C.
     """
     p1, q1, x1, y1, C = map(as_fraction, (p1, q1, x1, y1, C))
     _require_nonzero_weight(p1, q1)
     _require_positive_C(C)
     if (x1, y1) == (0, 0):
         raise ValueError("free pole must differ from the origin")
+    B = _pole_B((((Fraction(0), Fraction(0)), 3), ((x1, y1), 1)), {1: (p1, q1)}, C)
+
     m = _m_constants(x1, y1)
     m1, m2, m3, m4 = m["m1"], m["m2"], m["m3"], m["m4"]
-
-    basis = harmonic_basis(4)
-    re3, im3 = basis[3].Y, basis[3].Q
-    re4, im4 = basis[4].Y, basis[4].Q
-    H = (
-        (m1 * p1 + m2 * q1) * re4
-        + (m1 * q1 - m2 * p1) * im4
-        + (m3 * q1 - m4 * p1) * re3
-        - (m4 * q1 + m3 * p1) * im3
-    )
-
     explicit = (
         (m1 * p1 + m2 * q1) * ((X**2 - Y**2) ** 2 - 4 * X**2 * Y**2)
         + 4 * (m1 * q1 - m2 * p1) * (X * Y * (X**2 - Y**2))
         + (m3 * q1 - m4 * p1) * (X * (X**2 - 3 * Y**2))
         + (m4 * q1 + m3 * p1) * (Y * (Y**2 - 3 * X**2))
     )
-    if H != explicit:
+    if B.num != explicit:
         raise ArithmeticError("confluent numerator disagrees with its closed form")
-    _require_harmonic(H)
-
-    M = _pole_factor((Fraction(0), Fraction(0))) ** 3 * _pole_factor((x1, y1))
-    return RatFn(H, M + C)
+    return B
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ Seeds for the transform are pairs (Y, Q) solving the first-order system
 
 i.e. Q is the harmonic conjugate of Y (both components are then harmonic).
 This module builds polynomial seed bases, computes conjugates by exact
-monomial-wise path integration, and handles the dipole pole sums
+monomial-wise path integration, and solves for the weights of the dipole
+pole sums
 
     S_n = sum_i (p_i (x - x_i) + q_i (y - y_i)) / ((x - x_i)^2 + (y - y_i)^2)
         = N_n / M_n
 
-whose cleared numerators N_n, constrained to be harmonic, feed the rational
-solution families.  The harmonicity constraint is an exact rational linear
-system in the weights (p_i, q_i); its solution space is computed by exact
-row reduction and returned as a canonically scaled basis.
+whose cleared numerators N_n are harmonic.  The harmonicity constraint is an
+exact rational linear system in the weights (p_i, q_i); its solution space is
+computed by exact row reduction and returned as a canonically scaled basis.
+The family builders construct B from the pole polynomial instead (see
+`families`); this basis fixes B2's weight coordinates and the `dim:*`
+targets.
 """
 
 from __future__ import annotations
@@ -41,31 +44,6 @@ Point = tuple[Fraction, Fraction]
 def _as_point(value) -> Point:
     a, b = value
     return (as_fraction(a), as_fraction(b))
-
-
-@dataclass(frozen=True)
-class PoleConfig:
-    """The checked input of :func:`pole_sum`: pole positions and dipole weights.
-
-    ``poles[i]`` is (x_i, y_i), ``weights[i]`` is (p_i, q_i), one weight pair
-    per pole, and the poles are pairwise distinct.  The shift C of
-    B = N/(M + C) is not part of it: the family builders add it to M.
-    """
-
-    poles: tuple[Point, ...]
-    weights: tuple[Point, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "poles", tuple(_as_point(p) for p in self.poles))
-        object.__setattr__(self, "weights", tuple(_as_point(w) for w in self.weights))
-        if not self.poles:
-            raise ValueError("at least one pole is required")
-        if len(self.poles) != len(self.weights):
-            raise ValueError(
-                f"{len(self.poles)} poles but {len(self.weights)} weight pairs"
-            )
-        if len(set(self.poles)) != len(self.poles):
-            raise ValueError("poles must be pairwise distinct")
 
 
 @dataclass(frozen=True)
@@ -125,27 +103,6 @@ def _pole_factor(pole: Point) -> BiPoly:
     return (X - xi) ** 2 + (Y - yi) ** 2
 
 
-def _pole_numerator(poles: Sequence[Point], weights: Sequence[Point]) -> BiPoly:
-    factors = [_pole_factor(p) for p in poles]
-    total = ZERO
-    for i, ((xi, yi), (pi, qi)) in enumerate(zip(poles, weights)):
-        linear = pi * (X - xi) + qi * (Y - yi)
-        for j, factor in enumerate(factors):
-            if j != i:
-                linear = linear * factor
-        total = total + linear
-    return total
-
-
-def pole_sum(config: PoleConfig) -> tuple[BiPoly, BiPoly]:
-    """Cleared numerator and denominator (N_n, M_n) of the dipole sum."""
-    N = _pole_numerator(config.poles, config.weights)
-    M = ONE
-    for pole in config.poles:
-        M = M * _pole_factor(pole)
-    return N, M
-
-
 def laplace_constrained_numerator(
     poles: Sequence[tuple[Scalar, Scalar]],
 ) -> list[tuple[Fraction, ...]]:
@@ -163,13 +120,15 @@ def laplace_constrained_numerator(
         raise ValueError("poles must be pairwise distinct")
     n_unknowns = 2 * len(pts)
 
+    # the p_i and q_i columns share the product of the other poles' factors
+    factors = [_pole_factor(p) for p in pts]
     columns: list[BiPoly] = []
-    for k in range(n_unknowns):
-        weights = [(Fraction(0), Fraction(0))] * len(pts)
-        pair = list(weights[k // 2])
-        pair[k % 2] = Fraction(1)
-        weights[k // 2] = (pair[0], pair[1])
-        columns.append(laplacian_poly(_pole_numerator(pts, weights)))
+    for i, (xi, yi) in enumerate(pts):
+        others = ONE
+        for j, factor in enumerate(factors):
+            if j != i:
+                others = others * factor
+        columns += [laplacian_poly((X - xi) * others), laplacian_poly((Y - yi) * others)]
 
     monomials = sorted(set().union(*(col.terms.keys() for col in columns)))
     rows = [[col.coeff(*mono) for col in columns] for mono in monomials]

@@ -39,6 +39,8 @@ from darboux2d.families import (
     DEFAULT_PARAMS,
     FAMILY_KEYS,
     PRESETS,
+    _pole_B,
+    _weights_in_span,
     build_family,
     build_preset,
     build_tanh,
@@ -700,20 +702,23 @@ def _run_dim(key: str, seed: int) -> ResidualReport:
         entry = {"poles": [[str(a), str(b)] for a, b in poles], "dimension": len(basis)}
         ok = len(basis) == 2
         if ok and key == "b1":
-            # the explicit two-pole closed form must lie in the span:
-            # build_B1 reconstructs it from the basis and zero-tests
-            # against the transcription internally
+            # B1 built from (p0, q0) (zero-tested against its transcription
+            # inside build_B1) must have its weights in the span: the solved
+            # vector led by (p0, q0) must fix the same mu at both poles
+            # and give B1's numerator
             p0, q0 = _rand_weight(rng)
             (x0, y0), (x1, y1) = poles
             try:
-                build_family("B1", {"p0": p0, "q0": q0, "x0": x0, "y0": y0,
-                                    "x1": x1, "y1": y1, "C": Fraction(1)})
-                entry["explicit_in_span"] = True
+                B = build_family("B1", {"p0": p0, "q0": q0, "x0": x0, "y0": y0,
+                                        "x1": x1, "y1": y1, "C": Fraction(1)}).B
+                flat = _weights_in_span(basis, (p0, q0))
+                roots = tuple((pole, 1) for pole in poles)
+                ok = _pole_B(roots, {0: flat[:2], 1: flat[2:]}, Fraction(1)).num == B.num
             except ExponentCapError:
                 raise
             except (ArithmeticError, ValueError):
                 ok = False
-                entry["explicit_in_span"] = False
+            entry["explicit_in_span"] = ok
         entry["verdict"] = "pass" if ok else "fail"
         cases.append(entry)
     return _aggregate(name, cases, seed)

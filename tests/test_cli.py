@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from darboux2d.cli import main
 from darboux2d.darboux import R_coeffs
 from darboux2d.families import (
     DEFAULT_PARAMS,
+    FAMILY_KEYS,
     PRESETS,
     build_family,
     build_preset,
@@ -21,10 +23,33 @@ from darboux2d.harmonic import laplace_constrained_numerator
 from darboux2d.polyrat import ratfn_to_str
 
 
+# recorded `build` text (csv and json) of each family at its defaults and of
+# each preset, and the B of the five seed-7 eq12 draws per family: the exact
+# checks pass for any B of the right shape, so a changed B shows only here
+BUILD_TEXTS = json.loads((Path(__file__).parent / "data" / "build_texts.json").read_text())
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("family", sorted(BUILD_TEXTS["build"]))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_build_text_matches_the_recorded_text(capsys, family, fmt):
+    code, out, err = run_cli(capsys, "build", "--family", family, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == BUILD_TEXTS["build"][family][fmt]
+
+
+@pytest.mark.parametrize("key", sorted(BUILD_TEXTS["eq12_seed7"]))
+def test_seed_7_eq12_draws_build_the_recorded_B(key):
+    for draw in BUILD_TEXTS["eq12_seed7"][key]:
+        params = {k: tuple(map(Fraction, v)) if isinstance(v, list) else Fraction(v)
+                  for k, v in draw["params"].items()}
+        B = build_family(FAMILY_KEYS[key], params).B
+        assert ratfn_to_str(B) == draw["B"]
 
 
 def test_build_b0_example(capsys):

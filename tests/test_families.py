@@ -196,23 +196,29 @@ def test_tsarev2_rationalization_tracks_surds():
     assert floats["y2"] == pytest.approx((159 + t) / (16 * t))
 
 
+_real_pole_B = families._pole_B
+
+
+def _turned_last_weight(roots, weights, C):
+    *_, last = weights
+    p, q = weights[last]
+    return _real_pole_B(roots, {**weights, last: (-q, p)}, C)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: build_B0(1, 0, 0, 0, 1), "one-pole numerator"),
         (lambda: build_family("B1", DEFAULT_PARAMS["B1"]), "two-pole numerator"),
         (lambda: build_family("B2", DEFAULT_PARAMS["B2"]), "not harmonic"),
+        (lambda: build_family("B3", DEFAULT_PARAMS["B3"]), "confluent numerator"),
     ],
 )
 def test_builder_guards_raise_on_bad_numerator(monkeypatch, build, message):
-    # explicit raises, not asserts, so the checks also run under -O
-    real = families.pole_sum
-
-    def skewed(config):
-        N, M = real(config)
-        return N + X * X, M
-
-    monkeypatch.setattr(families, "pole_sum", skewed)
+    # explicit raises, not asserts, so the checks also run under -O; turning
+    # the last given weight by i moves mu, so B0, B1 and B3 miss their
+    # explicit numerators and B2's three weights stop fixing one mu
+    monkeypatch.setattr(families, "_pole_B", _turned_last_weight)
     with pytest.raises(ArithmeticError, match=message):
         build()
 

@@ -9,25 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darboux2d.families import PRESETS
+from darboux2d.families import PRESETS, _pole_B
 from darboux2d.harmonic import (
     HarmonicPair,
-    PoleConfig,
     _nullspace,
     conjugate,
     harmonic_basis,
     laplace_constrained_numerator,
-    pole_sum,
 )
-from darboux2d.polyrat import (
-    ONE,
-    X,
-    Y,
-    ZERO,
-    RatFn,
-    laplacian_poly,
-    laplacian_ratfn,
-)
+from darboux2d.polyrat import ONE, X, Y, ZERO, laplacian_poly
 from darboux2d.verify import _family_instance
 
 DATA = Path(__file__).parent / "data"
@@ -75,30 +65,79 @@ def test_double_conjugate_identity():
         assert twice == -Yp + Yp.eval(0, 0)
 
 
-def test_pole_config_validation():
-    with pytest.raises(ValueError):
-        PoleConfig(poles=[(0, 0), (0, 0)], weights=[(1, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        PoleConfig(poles=[(0, 0)], weights=[(1, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        PoleConfig(poles=[], weights=[])
+def _pole_sum_reference(roots, residues):
+    """|P|^2 Re sum c/(z - a)^k over ``residues`` [(root index, k, c)], expanded.
+
+    ``roots`` are ((x_i, y_i), m_i) with P = prod (z - z_i)^m_i, and c is a
+    Gaussian rational (re, im).  For k = 1 and c = p + iq the term is the
+    dipole p (x - x_i) + q (y - y_i) times the other factors of |P|^2.
+    """
+    factors = [((X - x) ** 2 + (Y - y) ** 2) ** m for (x, y), m in roots]
+    total = ZERO
+    for i, k, (c_re, c_im) in residues:
+        (x, y), m = roots[i]
+        re, im = ONE, ZERO  # (z - z_i)^k
+        for _ in range(k):
+            re, im = re * (X - x) - im * (Y - y), re * (Y - y) + im * (X - x)
+        # Re(c conj(w)) = Re(c) Re(w) + Im(c) Im(w)
+        term = (c_re * re + c_im * im) * ((X - x) ** 2 + (Y - y) ** 2) ** (m - k)
+        for j, factor in enumerate(factors):
+            if j != i:
+                term = term * factor
+        total = total + term
+    return total
 
 
-def test_pole_sum_two_pole_example():
-    cfg = PoleConfig(poles=[(0, 0), (1, 0)], weights=[(1, 0), (0, 1)])
-    N, M = pole_sum(cfg)
-    shifted = (X - 1) ** 2 + Y ** 2
-    assert N == X * shifted + Y * (X ** 2 + Y ** 2)
-    assert M == (X ** 2 + Y ** 2) * shifted
+def _dipole_sum(poles, weights):
+    """Cleared numerator of sum_i (p_i (x - x_i) + q_i (y - y_i))/|z - z_i|^2."""
+    return _pole_sum_reference([(pole, 1) for pole in poles],
+                               [(i, 1, w) for i, w in enumerate(weights)])
 
 
-def test_pole_sum_is_harmonic():
-    cfg = PoleConfig(
-        poles=[(0, 0), (1, 0), (0, Fraction(1, 2))],
-        weights=[(1, 0), (0, 1), (Fraction(2, 3), -1)],
-    )
-    N, M = pole_sum(cfg)
-    assert laplacian_ratfn(RatFn(N, M)).is_zero()
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _cdiv(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    re, im = _cmul(a, (b[0], -b[1]))
+    return (re / norm, im / norm)
+
+
+def _dP(roots, i):
+    """P'(z_i) at a simple root: prod_{j != i} (z_i - z_j)^m_j."""
+    (xi, yi), _ = roots[i]
+    out = (Fraction(1), Fraction(0))
+    for j, ((xj, yj), mj) in enumerate(roots):
+        if j != i:
+            for _ in range(mj):
+                out = _cmul(out, (xi - xj, yi - yj))
+    return out
+
+
+def test_pole_B_two_pole_example():
+    # weight 1 at the origin forces -1 at z = 1: B = Re(-z(z - 1))/(|P|^2 + 1)
+    B = _pole_B((((0, 0), 1), ((1, 0), 1)), {0: (1, 0)}, 1)
+    assert B.num == -X ** 2 + Y ** 2 + X
+    assert B.den == (X ** 2 + Y ** 2) * ((X - 1) ** 2 + Y ** 2) + 1
+    assert B.num == _dipole_sum([(0, 0), (1, 0)], [(1, 0), (-1, 0)])
+
+
+def test_pole_B_rejects_weights_that_fix_different_mu():
+    roots = (((0, 0), 1), ((1, 0), 1))
+    with pytest.raises(ArithmeticError, match="different multipliers mu"):
+        _pole_B(roots, {0: (1, 0), 1: (0, 1)}, 1)
+    with pytest.raises(ArithmeticError, match="different multipliers mu"):
+        _pole_B(roots, {0: (1, 0), 1: (1, 0)}, 1)
+    assert _pole_B(roots, {0: (1, 0), 1: (-1, 0)}, 1).num == -X ** 2 + Y ** 2 + X
+
+
+def test_pole_B_numerator_is_harmonic():
+    roots = (((0, 0), 1), ((1, 0), 1), ((0, Fraction(1, 2)), 1))
+    B = _pole_B(roots, {2: (Fraction(2, 3), -1)}, 1)
+    assert laplacian_poly(B.num).is_zero()
+    assert not laplacian_poly(_dipole_sum([(0, 0), (1, 0), (0, Fraction(1, 2))],
+                                          [(1, 0), (0, 1), (Fraction(2, 3), -1)])).is_zero()
 
 
 def test_constrained_numerator_single_pole():
@@ -137,9 +176,7 @@ def test_constrained_numerator_members_are_harmonic():
     ]
     for vec in laplace_constrained_numerator(poles):
         weights = [(vec[2 * i], vec[2 * i + 1]) for i in range(len(poles))]
-        cfg = PoleConfig(poles=poles, weights=weights)
-        N, _ = pole_sum(cfg)
-        assert laplacian_poly(N).is_zero()
+        assert laplacian_poly(_dipole_sum(poles, weights)).is_zero()
 
 
 # weight bases recorded with an independent (fraction-free Bareiss)
@@ -191,8 +228,60 @@ def test_weight_basis_is_canonical_and_harmonic(poles):
         assert math.gcd(*(int(v) for v in vec)) == 1
         assert next(v for v in vec if v) > 0
         weights = [(vec[2 * i], vec[2 * i + 1]) for i in range(len(poles))]
-        N, _ = pole_sum(PoleConfig(poles=poles, weights=weights))
-        assert laplacian_poly(N).is_zero()
+        assert laplacian_poly(_dipole_sum(poles, weights)).is_zero()
+
+
+_nonzero_pair = st.tuples(_small, _small).filter(lambda z: z != (0, 0))
+# 1-3 distinct simple poles, or the confluent layout z^3 (z - z1)
+_root_layouts = st.one_of(
+    _layouts(_small).map(lambda poles: [(pole, 1) for pole in poles]),
+    _nonzero_pair.map(lambda z1: [((Fraction(0), Fraction(0)), 3), (z1, 1)]),
+)
+
+
+def _differs(build, num, den) -> bool:
+    """True if ``build()`` raises ArithmeticError or gives another B."""
+    try:
+        B = build()
+    except ArithmeticError:
+        return True
+    return B.num != num or B.den != den
+
+
+@given(_root_layouts, _nonzero_pair, st.fractions(min_value=Fraction(1, 20), max_value=20),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_pole_B_is_the_pole_sum_with_weights_from_mu(roots, weight, C, data):
+    # partial fractions: conj(mu)/P = sum_i w_i/(z - z_i) over simple roots,
+    # w_i = conj(mu)/P'(z_i); at the triple root of z^3 (z - z1) the
+    # Laurent terms are -w1 z1^(3-k)/z^k, k = 1, 2, 3
+    simple = [i for i, (_, m) in enumerate(roots) if m == 1]
+    i0 = data.draw(st.sampled_from(simple))
+    conj_mu = _cmul(weight, _dP(roots, i0))
+    weights = {i: _cdiv(conj_mu, _dP(roots, i)) for i in simple}
+    assert weights[i0] == weight
+    residues = [(i, 1, w) for i, w in weights.items()]
+    if len(roots) == 2 and roots[0][1] == 3:
+        w1, z1 = weights[1], roots[1][0]
+        residues += [(0, 1, (-w1[0], -w1[1])), (0, 2, _cmul(w1, (-z1[0], -z1[1]))),
+                     (0, 3, _cmul(w1, _cmul((-z1[0], -z1[1]), z1)))]
+    num = _pole_sum_reference(roots, residues)
+    den = ONE
+    for (x, y), m in roots:
+        den = den * ((X - x) ** 2 + (Y - y) ** 2) ** m
+    den = den + C
+
+    for given_weights in ({i0: weight}, weights):
+        B = _pole_B(roots, given_weights, C)
+        assert B.num == num and B.den == den
+
+    # negative controls: a shifted root, C + 1, one weight times i
+    (x, y), m = roots[-1]
+    shifted = [*roots[:-1], ((x + Fraction(1, 1000), y), m)]
+    assert _differs(lambda: _pole_B(shifted, {i0: weight}, C), num, den)
+    assert _differs(lambda: _pole_B(roots, {i0: weight}, C + 1), num, den)
+    rotated = {**weights, i0: (-weight[1], weight[0])}
+    assert _differs(lambda: _pole_B(roots, rotated, C), num, den)
 
 
 def test_nullspace_without_rows_is_the_unit_vectors():

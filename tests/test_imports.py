@@ -1,4 +1,5 @@
-"""Every module-level import in src/ and tests/ is used.
+"""Every module-level import in src/ and tests/ is used, and every binding
+the benchmark tracer wraps exists.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; ``from __future__`` imports are compiler directives and are
@@ -6,6 +7,7 @@ skipped.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,16 @@ def test_unused_import_scan_sees_unused_and_exported_names():
         "print(os.sep, gcd)\n"
     )
     assert _unused_imports(source) == ["re (line 2)", "osp (line 3)"]
+
+
+def test_every_binding_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py wraps each (owner, attribute) of SITES in place;
+    # one that a refactor removed breaks the benchmark, not only its tests
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SITES
+    missing = [(owner.__name__, attr) for owner, attr, _ in tracer.SITES
+               if attr not in vars(owner)]
+    assert missing == []

@@ -117,23 +117,35 @@ def test_check_new_potential_system_negative_control():
 
 
 def test_dim_guard_failure_is_a_fail_verdict(monkeypatch):
-    real = families.pole_sum
+    real = families._pole_B
 
-    def skewed(config):
-        N, M = real(config)
-        return N + X * X, M
+    def skewed(roots, weights, C):
+        B = real(roots, weights, C)
+        return RatFn(B.num + X * X, B.den)
 
-    monkeypatch.setattr(families, "pole_sum", skewed)
+    monkeypatch.setattr(families, "_pole_B", skewed)
+    (rep,) = run_suite(["dim:b1"], seed=7)
+    assert rep.verdict == "fail"
+    assert [c["explicit_in_span"] for c in rep.detail["cases"]] == [False] * 4
+
+
+def test_dim_guard_fails_when_b1_weights_leave_the_span(monkeypatch):
+    # every B1 still builds, but a solved span of equal weights at both
+    # poles does not hold B1's weights, which are opposite
+    def same_sign_basis(poles):
+        return [(1, 0, 1, 0), (0, 1, 0, 1)]
+
+    monkeypatch.setattr(verify, "laplace_constrained_numerator", same_sign_basis)
     (rep,) = run_suite(["dim:b1"], seed=7)
     assert rep.verdict == "fail"
     assert [c["explicit_in_span"] for c in rep.detail["cases"]] == [False] * 4
 
 
 def test_dim_guard_lets_exponent_cap_through(monkeypatch):
-    def capped(config):
+    def capped(roots, weights, C):
         raise ExponentCapError("monomial above the cap")
 
-    monkeypatch.setattr(families, "pole_sum", capped)
+    monkeypatch.setattr(families, "_pole_B", capped)
     with pytest.raises(ExponentCapError):
         run_suite(["dim:b1"], seed=7)
     assert main(["verify", "--targets", "dim:b1"]) == 2
