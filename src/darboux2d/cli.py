@@ -35,7 +35,7 @@ from darboux2d.families import (
     build_tanh,
     closed_potential,
 )
-from darboux2d.harmonic import HarmonicPair, conjugate, harmonic_basis
+from darboux2d.harmonic import HarmonicPair, harmonic_basis
 from darboux2d.polyrat import (
     ONE,
     ZERO,
@@ -220,8 +220,11 @@ def _seed_pair(kind: str, degree: int | None) -> HarmonicPair:
     if degree < 0:
         raise CliError("invalid-params", "degree must be non-negative")
     pair = harmonic_basis(degree)[degree]
-    Y = pair.Y if kind == "re" else pair.Q
-    return HarmonicPair(Y=Y, Q=conjugate(Y))
+    if kind == "re":
+        return pair
+    # the conjugate of Im z^k is -Re z^k; the constant keeps Q(0, 0) = 0,
+    # so degree 0 gives the zero seed
+    return HarmonicPair(Y=pair.Q, Q=pair.Y.coeff(0, 0) - pair.Y)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:

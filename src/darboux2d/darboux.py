@@ -18,8 +18,10 @@ read: `RatFn` keeps the powers of B's numerator and denominator and of
 |grad B|^2 as factors, so terms meet on shared denominators by themselves.
 The only numeric piece is the h <-> u bridge
 (u = -h_xx - h_yy + h_x^2 + h_y^2), which exists to cross-check the
-rational pipeline pointwise.  The scalar h = -ln B itself is
-never formed symbolically: all h-dependence enters through B_x/B ratios.
+rational pipeline pointwise: `u_from_h` takes the four partials of h as
+plain functions, and `neg_log_field` builds them for h = -ln B.  The scalar
+h itself is never formed symbolically: all h-dependence enters through
+B_x/B ratios.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from darboux2d.harmonic import HarmonicPair
-from darboux2d.polyrat import RatFn, laplacian_ratfn
+from darboux2d.polyrat import RatFn, laplacian
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ def potential_from_B(B: RatFn) -> RatFn:
     """Exact transformed potential (B_xx + B_yy)/B."""
     if B.is_zero():
         raise ValueError("potential requires a nonzero B")
-    return laplacian_ratfn(B) / B
+    return laplacian(B) / B
 
 
 def R_coeffs(B: RatFn) -> tuple[RatFn, RatFn]:
@@ -100,44 +102,31 @@ def transform_solution(B: RatFn, seed: HarmonicPair) -> TransformOutput:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Field2:
-    """A scalar field given through its analytic first/second partials.
-
-    The field value itself is not needed: the potential formula only
-    consumes derivatives.
-    """
-
-    fx: Callable[[float, float], float]
-    fy: Callable[[float, float], float]
-    fxx: Callable[[float, float], float]
-    fyy: Callable[[float, float], float]
+PointFn = Callable[[float, float], float]
 
 
-def u_from_h(h: Field2) -> Callable[[float, float], float]:
+def u_from_h(hx: PointFn, hy: PointFn, hxx: PointFn, hyy: PointFn) -> PointFn:
     """Pointwise potential u = -h_xx - h_yy + h_x^2 + h_y^2.
 
-    Non-finite derivative values (e.g. at singular points of h) propagate
-    through to the result as inf/nan.
+    The arguments are the partials of h; h itself is not needed.  Non-finite
+    derivative values (e.g. at singular points of h) propagate through to
+    the result as inf/nan.
     """
 
     def u(x: float, y: float) -> float:
-        return -h.fxx(x, y) - h.fyy(x, y) + h.fx(x, y) ** 2 + h.fy(x, y) ** 2
+        return -hxx(x, y) - hyy(x, y) + hx(x, y) ** 2 + hy(x, y) ** 2
 
     return u
 
 
-def neg_log_field(B: RatFn) -> Field2:
-    """h = -ln B as a derivative-only field, exact up to final evaluation.
+def neg_log_field(B: RatFn) -> tuple[PointFn, PointFn, PointFn, PointFn]:
+    """The partials (h_x, h_y, h_xx, h_yy) of h = -ln B, in `u_from_h` order.
 
-    All four partials are rational functions of (x, y) built from B
-    symbolically; their `eval_float` methods evaluate them in double
+    All four are rational functions of (x, y) built from B symbolically;
+    their `eval_float` methods, returned here, evaluate them in double
     precision, at points or over numpy arrays.  Points where B vanishes
     (h undefined) yield non-finite values.
     """
     hx = -(B.diff("x") / B)
     hy = -(B.diff("y") / B)
-    hxx = hx.diff("x")
-    hyy = hy.diff("y")
-    return Field2(fx=hx.eval_float, fy=hy.eval_float,
-                  fxx=hxx.eval_float, fyy=hyy.eval_float)
+    return hx.eval_float, hy.eval_float, hx.diff("x").eval_float, hy.diff("y").eval_float

@@ -5,8 +5,8 @@ Seeds for the transform are pairs (Y, Q) solving the first-order system
     Y_x - Q_y = 0,    Y_y + Q_x = 0,
 
 i.e. Q is the harmonic conjugate of Y (both components are then harmonic).
-This module builds polynomial seed bases, computes conjugates by exact
-monomial-wise path integration, and solves for the weights of the dipole
+This module builds the polynomial seed basis (Re z^k, Im z^k), whose pairs
+are conjugate by construction, and solves for the weights of the dipole
 pole sums
 
     S_n = sum_i (p_i (x - x_i) + q_i (y - y_i)) / ((x - x_i)^2 + (y - y_i)^2)
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,7 +36,7 @@ from darboux2d.polyrat import (
     BiPoly,
     Scalar,
     as_fraction,
-    laplacian_poly,
+    laplacian,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -60,12 +61,14 @@ class HarmonicPair:
             raise ValueError("pair does not satisfy the conjugate system")
 
 
-def harmonic_basis(max_degree: int) -> list[HarmonicPair]:
+@lru_cache(maxsize=None)
+def harmonic_basis(max_degree: int) -> tuple[HarmonicPair, ...]:
     """Seed pairs (Re z^k, Im z^k) for k = 0..max_degree, plus (0, 1).
 
     The final (0, 1) pair is the pure-nonlocal seed: Y = 0 with constant
     potential variable, which the conjugate normalization Q(0,0) = 0 can
-    never produce.
+    never produce.  Each degree is built and checked once per process; the
+    pairs are shared, so they come back as a tuple.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
@@ -75,27 +78,7 @@ def harmonic_basis(max_degree: int) -> list[HarmonicPair]:
         pairs.append(HarmonicPair(re_part, im_part))
         re_part, im_part = re_part * X - im_part * Y, re_part * Y + im_part * X
     pairs.append(HarmonicPair(ZERO, ONE))
-    return pairs
-
-
-def conjugate(Y_poly: BiPoly) -> BiPoly:
-    """Harmonic conjugate Q of a harmonic polynomial, with Q(0,0) = 0.
-
-    Q is assembled by exact path integration along (0,0) -> (x,0) -> (x,y):
-    the y-leg integrates Q_y = Y_x, the x-leg integrates Q_x = -Y_y on the
-    axis.  Harmonicity of the input is exactly the integrability condition.
-    """
-    if not laplacian_poly(Y_poly).is_zero():
-        raise ValueError("conjugate requires a harmonic polynomial")
-    terms: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in Y_poly.diff("x").terms.items():
-        key = (i, j + 1)
-        terms[key] = terms.get(key, Fraction(0)) + c / (j + 1)
-    for (i, j), c in Y_poly.diff("y").terms.items():
-        if j == 0:
-            key = (i + 1, 0)
-            terms[key] = terms.get(key, Fraction(0)) - c / (i + 1)
-    return BiPoly({k: v for k, v in terms.items() if v})
+    return tuple(pairs)
 
 
 def _pole_factor(pole: Point) -> BiPoly:
@@ -128,7 +111,7 @@ def laplace_constrained_numerator(
         for j, factor in enumerate(factors):
             if j != i:
                 others = others * factor
-        columns += [laplacian_poly((X - xi) * others), laplacian_poly((Y - yi) * others)]
+        columns += [laplacian((X - xi) * others), laplacian((Y - yi) * others)]
 
     monomials = sorted(set().union(*(col.terms.keys() for col in columns)))
     rows = [[col.coeff(*mono) for col in columns] for mono in monomials]

@@ -25,10 +25,13 @@ sorted key order, so equal polynomials evaluate to the same float whichever
 path or insertion order built them.
 
 A global exponent cap (default 256, overridable through the environment
-variable ``DARBOUX_EXP_CAP``) bounds intermediate blow-up: any operation
-producing a monomial exponent above the cap raises :class:`ExponentCapError`
-instead of silently grinding through an enormous computation.  A packed
-product checks the cap before it allocates its buffers.
+variable ``DARBOUX_EXP_CAP``) bounds intermediate blow-up: a product whose
+exponent would exceed the cap raises :class:`ExponentCapError` from the
+operands' degrees, before either multiplication path does any work, instead
+of silently grinding through an enormous computation.  Terms handed to
+``BiPoly(...)`` from outside are checked too.  Sums, negation, scaling and
+derivatives cannot raise an exponent above those of their inputs, so they
+are not checked.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ _VARS = ("x", "y")
 
 
 class ExponentCapError(ArithmeticError):
-    """An operation produced a monomial exponent above the configured cap."""
+    """A product, or terms from outside, would exceed the exponent cap."""
 
 
 class PoleEvaluationError(ZeroDivisionError):
@@ -110,8 +113,7 @@ class BiPoly:
 
     @classmethod
     def _raw(cls, terms: dict[Exponent, Fraction]) -> "BiPoly":
-        """Internal constructor: trusts exponents, still enforces the cap."""
-        _check_cap(terms)
+        """Internal constructor: trusts the exponents and the cap check."""
         obj = object.__new__(cls)
         obj.terms = terms
         return obj
@@ -345,6 +347,12 @@ def _mul_terms(
     """
     if not a or not b:
         return {}
+    # over Q the product has a term of x-degree dx(a) + dx(b) and one of
+    # y-degree dy(a) + dy(b), so this raises exactly when the result would
+    _check_cap((
+        (max(i for i, _ in a) + max(i for i, _ in b), 0),
+        (0, max(j for _, j in a) + max(j for _, j in b)),
+    ))
     da = math.lcm(*(c.denominator for c in a.values()))
     db = math.lcm(*(c.denominator for c in b.values()))
     ai = [(key, c.numerator * (da // c.denominator)) for key, c in a.items()]
@@ -463,10 +471,6 @@ def _mul_kronecker(
     holds the bias alone is a zero coefficient and is left out.
     """
     (xo, yo, mo), (xi, yi, mi) = _extent(outer), _extent(inner)
-    # over Q the product has a term of x-degree xo + xi and one of y-degree
-    # yo + yi, so this raises exactly when the result would, but before the
-    # packed buffers are allocated
-    _check_cap(((xo + xi, 0), (0, yo + yi)))
     width = yo + yi + 1
     slot_bits = _slot_bits(mo, mi, len(inner))
     nbytes = slot_bits // 8
@@ -582,10 +586,6 @@ class RatFn:
 
     def is_zero(self) -> bool:
         return not self.poly.terms
-
-    def is_constant(self) -> bool:
-        """True iff both partial derivatives vanish identically (exact)."""
-        return self.diff("x").is_zero() and self.diff("y").is_zero()
 
     def __eq__(self, other: object) -> bool:
         other = _coerce_ratfn(other)
@@ -781,11 +781,8 @@ def _lift(poly: BiPoly, factors: list[tuple[BiPoly, int]]) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 
-def laplacian_poly(p: BiPoly) -> BiPoly:
-    return p.diff("x").diff("x") + p.diff("y").diff("y")
-
-
-def laplacian_ratfn(f: RatFn) -> RatFn:
+def laplacian(f: BiPoly | RatFn) -> BiPoly | RatFn:
+    """``f_xx + f_yy`` of a polynomial or a rational function, same type."""
     return f.diff("x").diff("x") + f.diff("y").diff("y")
 
 

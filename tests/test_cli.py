@@ -1,6 +1,7 @@
 """CLI tests driven through main() plus one console-script smoke test."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,7 +27,11 @@ from darboux2d.polyrat import ratfn_to_str
 # recorded `build` text (csv and json) of each family at its defaults and of
 # each preset, and the B of the five seed-7 eq12 draws per family: the exact
 # checks pass for any B of the right shape, so a changed B shows only here
-BUILD_TEXTS = json.loads((Path(__file__).parent / "data" / "build_texts.json").read_text())
+DATA = Path(__file__).parent / "data"
+BUILD_TEXTS = json.loads((DATA / "build_texts.json").read_text())
+# `transform --format json` for b0 and b1 with the const seed and the re/im
+# seeds of degrees 0-3; key family:kind[:degree], value exit code and stdout
+TRANSFORM_TEXTS = json.loads((DATA / "transform_texts.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +202,15 @@ def test_transform_im_seed(capsys):
                            "--seed-kind", "im", "--degree", "1")
     assert code == 0
     assert "schrodinger: pass" in out
+
+
+@pytest.mark.parametrize("key", sorted(TRANSFORM_TEXTS))
+def test_transform_text_matches_the_recorded_text(capsys, key):
+    family, kind, *degree = key.split(":")
+    argv = ["transform", "--family", family, "--format", "json", "--seed-kind", kind]
+    code, out, err = run_cli(capsys, *argv, *(["--degree", *degree] if degree else []))
+    assert {"exit": code, "stdout": out} == TRANSFORM_TEXTS[key]
+    assert err == ""
 
 
 def test_transform_negative_degree_exits_2(capsys):
@@ -402,6 +416,17 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "B = " in proc.stdout
+
+
+def test_malformed_exponent_cap_is_a_json_diagnostic_in_a_fresh_process():
+    # the cap is read when a product is formed, not while the package is
+    # imported, so a bad value reaches main's error handling
+    proc = subprocess.run(
+        [sys.executable, "-m", "darboux2d.cli", "build", "--family", "b0"],
+        capture_output=True, text=True, env={**os.environ, "DARBOUX_EXP_CAP": "abc"},
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "invalid-params"
 
 
 def test_usage_error_exits_2(capsys):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from darboux2d.darboux import (
-    Field2,
     R_coeffs,
     neg_log_field,
     potential_from_B,
@@ -14,7 +13,7 @@ from darboux2d.darboux import (
 )
 from darboux2d.families import build_family, closed_potential
 from darboux2d.harmonic import HarmonicPair, harmonic_basis
-from darboux2d.polyrat import ONE, X, Y, ZERO, RatFn, laplacian_ratfn
+from darboux2d.polyrat import ONE, X, Y, ZERO, RatFn, laplacian
 
 
 @pytest.fixture()
@@ -59,32 +58,44 @@ def test_transform_satisfies_new_equation(b0):
     u = potential_from_B(b0)
     for pair in harmonic_basis(3):
         out = transform_solution(b0, pair)
-        residual = laplacian_ratfn(out.Y_tilde) - u * out.Y_tilde
+        residual = laplacian(out.Y_tilde) - u * out.Y_tilde
         assert residual.is_zero()
         assert (out.W_tilde - b0 * out.Y_tilde).is_zero()
 
 
 def test_neg_log_field_bridge(b0):
     u = potential_from_B(b0)
-    u_num = u_from_h(neg_log_field(b0))
+    u_num = u_from_h(*neg_log_field(b0))
     for x, y in ((1.0, 2.0), (0.5, 0.5), (2.0, -1.0)):
         # points chosen with B > 0 so h = -ln B exists there
         assert u_num(x, y) == pytest.approx(u.eval_float(x, y), abs=1e-10)
 
 
 def test_neg_log_field_not_finite_at_zero_of_B(b0):
-    u_num = u_from_h(neg_log_field(b0))
+    u_num = u_from_h(*neg_log_field(b0))
     # B_0 vanishes on the y-axis
     assert not math.isfinite(u_num(0.0, 1.0))
 
 
 def test_u_from_h_with_plain_closures():
-    # h = x^2 + y^2: u = -4 + 4(x^2 + y^2)
-    h = Field2(
-        fx=lambda x, y: 2 * x,
-        fy=lambda x, y: 2 * y,
-        fxx=lambda x, y: 2.0,
-        fyy=lambda x, y: 2.0,
+    # h = x^2 + 3y^2: u = -8 + 4x^2 + 36y^2; the partials go in as
+    # (h_x, h_y, h_xx, h_yy), and a swap of any two changes the value
+    u = u_from_h(
+        lambda x, y: 2 * x,
+        lambda x, y: 6 * y,
+        lambda x, y: 2.0,
+        lambda x, y: 6.0,
     )
-    u = u_from_h(h)
-    assert u(1.0, 2.0) == pytest.approx(-4.0 + 4.0 * 5.0)
+    assert u(1.0, 2.0) == pytest.approx(-8.0 + 4.0 + 36.0 * 4.0)
+
+
+def test_neg_log_field_returns_the_partials_in_order(b0):
+    # B_0 = x/(x^2 + y^2 + 1): h_x = -1/x + 2x/r, h_y = 2y/r with
+    # r = x^2 + y^2 + 1, and h_xx = 1/x^2 + 2/r - 4x^2/r^2,
+    # h_yy = 2/r - 4y^2/r^2
+    x, y = 1.5, 0.5
+    r = x * x + y * y + 1
+    expected = (-1 / x + 2 * x / r, 2 * y / r,
+                1 / x**2 + 2 / r - 4 * x * x / r**2, 2 / r - 4 * y * y / r**2)
+    got = tuple(f(x, y) for f in neg_log_field(b0))
+    assert got == pytest.approx(expected, rel=1e-12)

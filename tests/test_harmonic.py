@@ -13,11 +13,10 @@ from darboux2d.families import PRESETS, _pole_B
 from darboux2d.harmonic import (
     HarmonicPair,
     _nullspace,
-    conjugate,
     harmonic_basis,
     laplace_constrained_numerator,
 )
-from darboux2d.polyrat import ONE, X, Y, ZERO, laplacian_poly
+from darboux2d.polyrat import ONE, X, Y, ZERO, laplacian
 from darboux2d.verify import _family_instance
 
 DATA = Path(__file__).parent / "data"
@@ -37,8 +36,8 @@ def test_harmonic_basis_low_degrees():
 
 def test_harmonic_basis_pairs_validate():
     for pair in harmonic_basis(8):
-        assert laplacian_poly(pair.Y).is_zero()
-        assert laplacian_poly(pair.Q).is_zero()
+        assert laplacian(pair.Y).is_zero()
+        assert laplacian(pair.Q).is_zero()
 
 
 def test_harmonic_pair_rejects_non_conjugate():
@@ -46,23 +45,12 @@ def test_harmonic_pair_rejects_non_conjugate():
         HarmonicPair(Y=X, Q=X)
 
 
-def test_conjugate_of_basis():
-    pairs = harmonic_basis(6)
-    for k in range(7):
-        assert conjugate(pairs[k].Y) == pairs[k].Q
-
-
-def test_conjugate_rejects_non_harmonic():
-    with pytest.raises(ValueError):
-        conjugate(X ** 2)
-
-
-def test_double_conjugate_identity():
-    # conjugating twice rotates by pi/2 twice: -Y up to the constant
-    for pair in harmonic_basis(5):
-        Yp = pair.Y
-        twice = conjugate(conjugate(Yp))
-        assert twice == -Yp + Yp.eval(0, 0)
+def test_harmonic_basis_is_built_once_per_degree_and_shared_read_only():
+    pairs = harmonic_basis(4)
+    assert harmonic_basis(4) is pairs
+    assert isinstance(pairs, tuple)
+    # a longer basis is a new tuple whose pairs agree with the shorter one
+    assert harmonic_basis(6)[:5] == pairs[:5]
 
 
 def _pole_sum_reference(roots, residues):
@@ -135,9 +123,9 @@ def test_pole_B_rejects_weights_that_fix_different_mu():
 def test_pole_B_numerator_is_harmonic():
     roots = (((0, 0), 1), ((1, 0), 1), ((0, Fraction(1, 2)), 1))
     B = _pole_B(roots, {2: (Fraction(2, 3), -1)}, 1)
-    assert laplacian_poly(B.num).is_zero()
-    assert not laplacian_poly(_dipole_sum([(0, 0), (1, 0), (0, Fraction(1, 2))],
-                                          [(1, 0), (0, 1), (Fraction(2, 3), -1)])).is_zero()
+    assert laplacian(B.num).is_zero()
+    assert not laplacian(_dipole_sum([(0, 0), (1, 0), (0, Fraction(1, 2))],
+                                     [(1, 0), (0, 1), (Fraction(2, 3), -1)])).is_zero()
 
 
 def test_constrained_numerator_single_pole():
@@ -176,7 +164,7 @@ def test_constrained_numerator_members_are_harmonic():
     ]
     for vec in laplace_constrained_numerator(poles):
         weights = [(vec[2 * i], vec[2 * i + 1]) for i in range(len(poles))]
-        assert laplacian_poly(_dipole_sum(poles, weights)).is_zero()
+        assert laplacian(_dipole_sum(poles, weights)).is_zero()
 
 
 # weight bases recorded with an independent (fraction-free Bareiss)
@@ -228,7 +216,7 @@ def test_weight_basis_is_canonical_and_harmonic(poles):
         assert math.gcd(*(int(v) for v in vec)) == 1
         assert next(v for v in vec if v) > 0
         weights = [(vec[2 * i], vec[2 * i + 1]) for i in range(len(poles))]
-        assert laplacian_poly(_dipole_sum(poles, weights)).is_zero()
+        assert laplacian(_dipole_sum(poles, weights)).is_zero()
 
 
 _nonzero_pair = st.tuples(_small, _small).filter(lambda z: z != (0, 0))

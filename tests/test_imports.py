@@ -1,9 +1,12 @@
-"""Every module-level import in src/ and tests/ is used, and every binding
-the benchmark tracer wraps exists.
+"""Every module-level import in src/ and tests/ is used, every module-level
+definition in src/ has a caller there, and every binding the benchmark tracer
+wraps exists.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; ``from __future__`` imports are compiler directives and are
-skipped.
+skipped.  A function or class counts as called when src/ reads its name
+outside its own body or lists it in ``__all__``: a helper whose last caller
+went away is deleted with it.
 """
 
 import ast
@@ -50,6 +53,48 @@ def test_unused_import_scan_sees_unused_and_exported_names():
         "print(os.sep, gcd)\n"
     )
     assert _unused_imports(source) == ["re (line 2)", "osp (line 3)"]
+
+
+def _dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes no module reads outside their body."""
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.append((module, own))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_every_module_level_definition_in_src_has_a_caller():
+    sources = {str(p.relative_to(ROOT)): p.read_text()
+               for p in FILES if p.is_relative_to(ROOT / "src")}
+    assert _dead_definitions(sources) == []
+
+
+def test_dead_definition_scan_sees_uncalled_recursive_and_exported_names():
+    sources = {
+        "a.py": (
+            "__all__ = ['Exported']\n"
+            "class Exported: pass\n"
+            "def helper(): return 1\n"
+            "def lonely(n): return lonely(n - 1) if n else 0\n"
+            "def orphan(): pass\n"
+        ),
+        "b.py": "import a\nfrom a import helper\nVALUE = helper() + a.Exported.x\n",
+    }
+    assert _dead_definitions(sources) == ["a.py.lonely", "a.py.orphan"]
 
 
 def test_every_binding_the_benchmark_tracer_wraps_exists():

@@ -24,8 +24,7 @@ from darboux2d.polyrat import (
     _mul_kronecker,
     _mul_schoolbook,
     as_fraction,
-    laplacian_poly,
-    laplacian_ratfn,
+    laplacian,
     poly_to_str,
     ratfn_is_zero,
     ratfn_to_str,
@@ -77,9 +76,9 @@ def test_diff_and_laplacian():
     p = X ** 3 * Y + Y ** 2
     assert p.diff("x") == 3 * X ** 2 * Y
     assert p.diff("y") == X ** 3 + 2 * Y
-    assert laplacian_poly(p) == 6 * X * Y + 2
+    assert laplacian(p) == 6 * X * Y + 2
     # harmonic polynomial
-    assert laplacian_poly(X ** 3 - 3 * X * Y ** 2).is_zero()
+    assert laplacian(X ** 3 - 3 * X * Y ** 2).is_zero()
 
 
 def test_poly_eval_exact_and_float():
@@ -175,7 +174,7 @@ def test_ratfn_text_round_trip():
 
 def test_functional_wrappers_match_methods():
     p = (X + Y) * (X - Y) * X
-    assert laplacian_poly(p) == p.diff("x").diff("x") + p.diff("y").diff("y")
+    assert laplacian(p) == p.diff("x").diff("x") + p.diff("y").diff("y")
     f, g = RatFn(X, Y), RatFn(Y, X)
     assert ratfn_is_zero(f * g - 1)
     assert ratfn_is_zero(f / g - f * f)
@@ -187,7 +186,7 @@ def test_functional_wrappers_match_methods():
 def test_laplacian_ratfn_matches_double_diff():
     f = RatFn(X, X ** 2 + Y ** 2 + 1)
     direct = f.diff("x").diff("x") + f.diff("y").diff("y")
-    assert (laplacian_ratfn(f) - direct).is_zero()
+    assert (laplacian(f) - direct).is_zero()
 
 
 def test_ratfn_keeps_the_objects_it_was_built_from():
@@ -541,3 +540,28 @@ def test_kronecker_checks_exponent_cap_before_packing(monkeypatch):
     monkeypatch.setattr(polyrat, "_pack", no_packing)
     with pytest.raises(ExponentCapError, match="x\\^12 exceeds exponent cap 8"):
         p * p
+
+
+def test_schoolbook_checks_exponent_cap_before_multiplying(monkeypatch):
+    # a sparse operand stays on the schoolbook path; the cap must trip on the
+    # operands' degrees before any pair of terms is multiplied
+    sparse = [((i, 40 * i), i + 1) for i in range(6)]
+    assert not _kronecker_pays(sparse, sparse)
+    p = BiPoly(dict(sparse))
+    monkeypatch.setenv("DARBOUX_EXP_CAP", "300")
+
+    def no_pairs(*args):
+        raise AssertionError("multiplied before the exponent cap was checked")
+
+    monkeypatch.setattr(polyrat, "_mul_schoolbook", no_pairs)
+    with pytest.raises(ExponentCapError, match="y\\^400 exceeds exponent cap 300"):
+        p * p
+
+
+def test_exponent_cap_holds_for_outside_terms_not_for_sums(monkeypatch):
+    p = X ** 9
+    monkeypatch.setenv("DARBOUX_EXP_CAP", "8")
+    with pytest.raises(ExponentCapError, match="x\\^9 exceeds exponent cap 8"):
+        BiPoly({(9, 0): 1})
+    # a sum cannot create an exponent its inputs lack, so it is not checked
+    assert (p + 1) - p == ONE

@@ -61,6 +61,17 @@ def test_check_eq12_rejects_constant():
         check_eq12(RatFn.from_poly(ONE))
 
 
+def test_constant_B_is_rejected_from_the_gradient_with_each_message():
+    # a constant with a nonunit denominator: constancy is read from B's
+    # derivatives, not from the form of B
+    B = RatFn(BiPoly.const(3), BiPoly.const(7))
+    with pytest.raises(ValueError, match="only posed for nonconstant B"):
+        check_eq12(B)
+    out = TransformOutput(B, B, B)
+    with pytest.raises(ValueError, match="only defined for nonconstant B"):
+        check_new_potential_system(B, out)
+
+
 def test_check_eq12_reciprocal_and_scaling():
     B = build_family("B0", B0_PARAMS).B
     assert check_eq12(RatFn(B.den, B.num)).passed
@@ -268,6 +279,23 @@ def test_transform_target_fails_on_broken_operator(monkeypatch):
     monkeypatch.setattr(darboux, "_apply_LD_with", off_by_one)
     (rep,) = run_suite(["transform:b0"], 7)
     assert rep.verdict == "fail"
+
+
+def test_tsarev2_potential_fails_on_a_shifted_pole(monkeypatch):
+    # the target compares the exact pipeline with the surd-valued closed
+    # form; moving one pole by 1e-6 must show at the 1e-9 tolerance
+    (rep,) = run_suite(["potential:tsarev-2:b2"], 7)
+    assert rep.verdict == "pass"
+    real = verify.build_preset
+
+    def shifted(name, **extra):
+        x1 = families.PRESETS[name].params["x1"] + Fraction(1, 10**6)
+        return real(name, **{**extra, "x1": x1})
+
+    monkeypatch.setattr(verify, "build_preset", shifted)
+    (rep,) = run_suite(["potential:tsarev-2:b2"], 7)
+    assert rep.verdict == "fail"
+    assert rep.detail["max_residual"] > 1e-7
 
 
 def test_run_suite_is_deterministic():
