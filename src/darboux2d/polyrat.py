@@ -1,28 +1,34 @@
 """Exact sparse bivariate polynomials and factored rational functions.
 
-Everything in this module is exact: coefficients are arbitrary-precision
-rationals (`fractions.Fraction`), and no simplification step ever divides by
-a polynomial.  A rational function is a polynomial times integer powers of
-shared nonzero factor polynomials (:class:`RatFn`); the algebra adds,
-lowers and lifts exponents instead of cross-multiplying, no gcd is ever
-taken, equality is decided by an exact zero test, and evaluation happens
-only at explicit points.  Floats appear solely at the evaluation boundary
-(`eval_float`).
+Everything in this module is exact: a polynomial is an integer polynomial
+over one positive denominator (the representation of FLINT's ``fmpq_poly``),
+and no simplification step ever divides by a polynomial.  A rational
+function is a polynomial times integer powers of shared nonzero factor
+polynomials (:class:`RatFn`); the algebra adds, lowers and lifts exponents
+instead of cross-multiplying, no polynomial gcd is ever taken, equality is
+decided by an exact zero test, and evaluation happens only at explicit
+points.  Floats appear solely at the evaluation boundary (`eval_float`).
 
-Terms are stored sparsely as ``{(i, j): coeff}`` with ``i`` the x-exponent and
-``j`` the y-exponent.  Rendering uses a graded-lexicographic term order
-(total degree descending, then x-exponent descending) so that the text form
-of a polynomial is canonical.
+Terms are stored sparsely as ``{(i, j): int}`` with ``i`` the x-exponent and
+``j`` the y-exponent, next to ``denom``.  The form is canonical:
+``denom >= 1``, ``gcd(denom, *terms.values()) == 1``, no zero is stored,
+and the zero polynomial has ``denom == 1``; so two polynomials are equal
+exactly when their term dicts and denominators are.  ``Fraction`` objects are made only
+at the boundary: coefficients handed in, :meth:`BiPoly.coeff`, rendering
+and exact values.  Rendering uses a graded-lexicographic term order (total
+degree descending, then x-exponent descending) so that the text form of a
+polynomial is canonical.
 
-Products clear denominators to integers, then multiply either pair by pair
-(schoolbook, for small or sparse operands) or by Kronecker substitution (for
-dense ones): each operand becomes one big integer with a fixed-width slot per
-monomial, CPython multiplies the two once, and the slots of the product are
-read back.  A cost model over term counts, slot fill and coefficient bits
-picks the path (:func:`_kronecker_pays`); both give the same nonzero terms.
-Term order in a polynomial is not part of its value: ``eval_float`` sums in
-sorted key order, so equal polynomials evaluate to the same float whichever
-path or insertion order built them.
+Products multiply the integer terms either pair by pair (schoolbook, for
+small or sparse operands) or by Kronecker substitution (for dense ones):
+each operand becomes one big integer with a fixed-width slot per monomial,
+CPython multiplies the two once, and the slots of the product are read
+back.  A cost model over term counts, slot fill and coefficient bits picks
+the path (:func:`_kronecker_pays`); both give the same nonzero terms.  The
+product's denominator is the product of the two, reduced once.  Term order
+in a polynomial is not part of its value: ``eval_float`` sums in sorted key
+order, so equal polynomials evaluate to the same float whichever path or
+insertion order built them.
 
 A global exponent cap (default 256, overridable through the environment
 variable ``DARBOUX_EXP_CAP``) bounds intermediate blow-up: a product whose
@@ -39,9 +45,12 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponent = tuple[int, int]
+IntTerms = Mapping[Exponent, int]
+Extent = tuple[int, int, int]  # x-degree, y-degree, largest |coefficient|
 Scalar = Union[int, Fraction, str]
 
 _DEFAULT_EXP_CAP = 256
@@ -94,9 +103,9 @@ def _check_cap(terms: Iterable[Exponent]) -> None:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial over Q with exponent tuples as keys."""
+    """Sparse bivariate polynomial over Q: integer terms over one ``denom``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "denom")
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -109,26 +118,34 @@ class BiPoly:
                 if coeff:
                     clean[(i, j)] = coeff
         _check_cap(clean)
-        self.terms = clean
+        # over the lcm of reduced fractions the content is already 1
+        self.denom = math.lcm(*(c.denominator for c in clean.values()))
+        self.terms = {k: c.numerator * (self.denom // c.denominator) for k, c in clean.items()}
 
     @classmethod
-    def _raw(cls, terms: dict[Exponent, Fraction]) -> "BiPoly":
-        """Internal constructor: trusts the exponents and the cap check."""
+    def _raw(cls, terms: dict[Exponent, int], denom: int = 1) -> "BiPoly":
+        """Internal constructor: trusts the exponents, the cap check and that
+        ``terms`` holds no zero; divides out ``gcd(denom, *terms)``."""
+        if denom != 1:
+            g = math.gcd(denom, *terms.values())
+            if g != 1:
+                terms = {key: val // g for key, val in terms.items()}
+                denom //= g
         obj = object.__new__(cls)
-        obj.terms = terms
+        obj.terms, obj.denom = terms, denom
         return obj
 
     @classmethod
     def const(cls, value: Scalar) -> "BiPoly":
         c = as_fraction(value)
-        return cls._raw({(0, 0): c} if c else {})
+        return cls._raw({(0, 0): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, var: str) -> "BiPoly":
         if var not in _VARS:
             raise ValueError(f"variable must be 'x' or 'y', got {var!r}")
         key = (1, 0) if var == "x" else (0, 1)
-        return cls._raw({key: Fraction(1)})
+        return cls._raw({key: 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -154,16 +171,16 @@ class BiPoly:
         return max(key[idx] for key in self.terms)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self.terms.get((i, j), 0), self.denom)
 
     def is_constant(self) -> bool:
         return all(key == (0, 0) for key in self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == BiPoly.const(other).terms
+            other = BiPoly.const(other)
+        if isinstance(other, BiPoly):
+            return self.terms == other.terms and self.denom == other.denom
         return NotImplemented
 
     def __bool__(self) -> bool:
@@ -171,47 +188,35 @@ class BiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "BiPoly | Scalar") -> "BiPoly":
+    def _sum(self, other: "BiPoly | Scalar", sign: int) -> "BiPoly":
+        """``self + sign * other``, both rescaled to the lcm of the denominators."""
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = (self.terms, other.terms)
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for key, val in small.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = val
+        denom = math.lcm(self.denom, other.denom)
+        a, ka = self.terms, denom // self.denom
+        b, kb = other.terms, sign * (denom // other.denom)
+        if len(a) < len(b):
+            a, ka, b, kb = b, kb, a, ka
+        out = dict(a) if ka == 1 else {key: ka * val for key, val in a.items()}
+        for key, val in b.items():
+            acc = out.get(key, 0) + kb * val
+            if acc:
+                out[key] = acc
             else:
-                acc = acc + val
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return BiPoly._raw(out)
+                del out[key]
+        return BiPoly._raw(out, denom)
+
+    def __add__(self, other: "BiPoly | Scalar") -> "BiPoly":
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly._raw({key: -val for key, val in self.terms.items()})
+        return BiPoly._raw({key: -val for key, val in self.terms.items()}, self.denom)
 
     def __sub__(self, other: "BiPoly | Scalar") -> "BiPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = -val
-            else:
-                acc = acc - val
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return BiPoly._raw(out)
+        return self._sum(other, -1)
 
     def __rsub__(self, other: "BiPoly | Scalar") -> "BiPoly":
         other = _coerce_poly(other)
@@ -223,10 +228,11 @@ class BiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return BiPoly._raw({})
-            return BiPoly._raw({key: val * other for key, val in self.terms.items()})
+            terms = {key: val * other.numerator for key, val in self.terms.items()}
+            return BiPoly._raw(terms, self.denom * other.denominator)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return BiPoly._raw(_mul_terms(self.terms, other.terms))
+        return BiPoly._raw(_mul_terms(self.terms, other.terms), self.denom * other.denom)
 
     __rmul__ = __mul__
 
@@ -248,7 +254,7 @@ class BiPoly:
     def diff(self, var: str) -> "BiPoly":
         if var not in _VARS:
             raise ValueError(f"variable must be 'x' or 'y', got {var!r}")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         if var == "x":
             for (i, j), c in self.terms.items():
                 if i:
@@ -257,7 +263,7 @@ class BiPoly:
             for (i, j), c in self.terms.items():
                 if j:
                     out[(i, j - 1)] = c * j
-        return BiPoly._raw(out)
+        return BiPoly._raw(out, self.denom)
 
     # -- evaluation --------------------------------------------------------
 
@@ -268,23 +274,21 @@ class BiPoly:
         ``(x[k], y)`` of one row, whose values come back as a list (the
         shape of ``eval_float(x_array, y)``).  Floats are rejected.
 
-        The work stays in integers: the coefficients are cleared to one
-        common denominator, the powers of ``y`` collapse into one integer
-        coefficient per power of ``x``, and each point ``p/q`` runs Horner
-        in ``x`` homogenised by ``q``.  One ``Fraction`` (one gcd) is built
-        per point.
+        The work stays in integers: the powers of ``y`` collapse into one
+        integer coefficient per power of ``x``, and each point ``p/q`` runs
+        Horner in ``x`` homogenised by ``q``.  One ``Fraction`` (one gcd) is
+        built per point.
         """
         row = isinstance(x, (list, tuple))
         xs = [as_fraction(v) for v in (x if row else (x,))]
         yv = as_fraction(y)
-        scale = math.lcm(*(c.denominator for c in self.terms.values()))
         dx, dy = self.degree("x"), self.degree("y")
         yn, yd = yv.numerator, yv.denominator
         ypow = [yn**j * yd ** (dy - j) for j in range(dy + 1)]
-        coeffs = [0] * (dx + 1)  # row polynomial, times scale * yd^dy
+        coeffs = [0] * (dx + 1)  # row polynomial, times denom * yd^dy
         for (i, j), c in self.terms.items():
-            coeffs[i] += c.numerator * (scale // c.denominator) * ypow[j]
-        den = scale * ypow[0]
+            coeffs[i] += c * ypow[j]
+        den = self.denom * ypow[0]
         values = []
         for v in xs:
             p, q = v.numerator, v.denominator
@@ -298,14 +302,16 @@ class BiPoly:
     def eval_float(self, x, y):
         """Float (or numpy-array) value; coefficients are rounded to float.
 
-        Terms are summed in sorted key order, so the value does not depend
-        on the order in which the terms were inserted.
+        Each coefficient is ``c / denom``, an int true division and so
+        correctly rounded.  Terms are summed in sorted key order, so the
+        value does not depend on the order in which the terms were inserted.
         """
         xp = _float_powers(x, self.degree("x"))
         yp = _float_powers(y, self.degree("y"))
         total = 0.0 * x * y  # matches the broadcast shape of the inputs
+        denom = self.denom
         for (i, j), c in sorted(self.terms.items()):
-            total = total + float(c) * xp[i] * yp[j]
+            total = total + c / denom * xp[i] * yp[j]
         return total
 
     # -- rendering ---------------------------------------------------------
@@ -325,14 +331,10 @@ def _coerce_poly(value) -> "BiPoly":
     return NotImplemented
 
 
-def _mul_terms(
-    a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]
-) -> dict[Exponent, Fraction]:
-    """Sparse product with coefficients cleared to integers first.
+def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
+    """Sparse product of integer terms; the nonzero terms of the product.
 
-    Clearing denominators up front keeps the work on integers (one gcd per
-    *result* term instead of one per elementary product).  The integer
-    product then takes one of two paths, which agree on the nonzero terms
+    The product takes one of two paths, which agree on the nonzero terms
     (zeros are dropped here):
 
       * schoolbook (:func:`_mul_schoolbook`): one dict update per pair of
@@ -342,42 +344,33 @@ def _mul_terms(
         big-int multiply, and the product is unpacked through bytes; the
         path for dense products.
 
-    The cutover is a cost model over what the operands show (term counts,
-    packed-slot fill, coefficient bits), see :func:`_kronecker_pays`.
+    Each operand is scanned once (:func:`_extent`) for the exponent cap and
+    both paths' sizes.  The cutover is a cost model over what the operands
+    show (term counts, packed-slot fill, coefficient bits), see
+    :func:`_kronecker_pays`.
     """
     if not a or not b:
         return {}
-    # over Q the product has a term of x-degree dx(a) + dx(b) and one of
-    # y-degree dy(a) + dy(b), so this raises exactly when the result would
-    _check_cap((
-        (max(i for i, _ in a) + max(i for i, _ in b), 0),
-        (0, max(j for _, j in a) + max(j for _, j in b)),
-    ))
-    da = math.lcm(*(c.denominator for c in a.values()))
-    db = math.lcm(*(c.denominator for c in b.values()))
-    ai = [(key, c.numerator * (da // c.denominator)) for key, c in a.items()]
-    bi = [(key, c.numerator * (db // c.denominator)) for key, c in b.items()]
-    if len(ai) < len(bi):
-        ai, bi = bi, ai
-    if len(ai) * len(bi) >= _KRONECKER_MIN_PAIRS and _kronecker_pays(ai, bi):
-        acc = _mul_kronecker(ai, bi)
-    else:
-        acc = _mul_schoolbook(ai, bi)
-    scale = da * db
-    return {key: Fraction(val, scale) for key, val in acc.items() if val}
+    if len(a) < len(b):
+        a, b = b, a
+    ext_a, ext_b = _extent(a), _extent(b)
+    # the product has a term of x-degree dx(a) + dx(b) and one of y-degree
+    # dy(a) + dy(b), so this raises exactly when the result would
+    _check_cap(((ext_a[0] + ext_b[0], 0), (0, ext_a[1] + ext_b[1])))
+    if len(a) * len(b) >= _KRONECKER_MIN_PAIRS and _kronecker_pays(len(a), len(b), ext_a, ext_b):
+        return _mul_kronecker(a, b, ext_a, ext_b)
+    return {key: val for key, val in _mul_schoolbook(a, b).items() if val}
 
 
-def _mul_schoolbook(
-    outer: list[tuple[Exponent, int]], inner: list[tuple[Exponent, int]]
-) -> dict[Exponent, int]:
+def _mul_schoolbook(outer: IntTerms, inner: IntTerms) -> dict[Exponent, int]:
     """Integer product, one pair of terms at a time.
 
     Coefficients that cancel stay in as zeros; :func:`_mul_terms` drops them.
     """
     acc: dict[Exponent, int] = {}
     get = acc.get
-    for (i1, j1), c1 in outer:
-        for (i2, j2), c2 in inner:
+    for (i1, j1), c1 in outer.items():
+        for (i2, j2), c2 in inner.items():
             key = (i1 + i2, j1 + j2)
             acc[key] = get(key, 0) + c1 * c2
     return acc
@@ -390,13 +383,10 @@ _KRONECKER_MIN_PAIRS = 256
 _KARATSUBA_CUTOFF = 70
 
 
-def _extent(terms: list[tuple[Exponent, int]]) -> tuple[int, int, int]:
+def _extent(terms: IntTerms) -> Extent:
     """Degree in x, degree in y and largest coefficient magnitude."""
-    return (
-        max(i for (i, _), _ in terms),
-        max(j for (_, j), _ in terms),
-        max(abs(c) for _, c in terms),
-    )
+    # the lexicographically largest key has the largest x-exponent
+    return max(terms)[0], max(map(itemgetter(1), terms)), max(map(abs, terms.values()))
 
 
 def _slot_bits(max_outer: int, max_inner: int, n_inner: int) -> int:
@@ -409,9 +399,7 @@ def _slot_bits(max_outer: int, max_inner: int, n_inner: int) -> int:
     return 8 * (((max_outer * max_inner * n_inner).bit_length() + 8) // 8)
 
 
-def _kronecker_pays(
-    outer: list[tuple[Exponent, int]], inner: list[tuple[Exponent, int]]
-) -> bool:
+def _kronecker_pays(n_outer: int, n_inner: int, ext_outer: Extent, ext_inner: Extent) -> bool:
     """Cost model: is one packed big-int product cheaper than the pair loop?
 
     Both costs are predicted in nanoseconds, with constants fitted by least
@@ -424,9 +412,9 @@ def _kronecker_pays(
     thousand-term operand times a twenty-term one, say) stay on the
     schoolbook path.
     """
-    (xo, yo, mo), (xi, yi, mi) = _extent(outer), _extent(inner)
+    (xo, yo, mo), (xi, yi, mi) = ext_outer, ext_inner
     width = yo + yi + 1
-    digits = _slot_bits(mo, mi, len(inner)) / 30
+    digits = _slot_bits(mo, mi, n_inner) / 30
     short, long = sorted(((xo * width + yo + 1) * digits, (xi * width + yi + 1) * digits))
     # digit products: CPython cuts the longer operand into pieces as long as
     # the shorter and multiplies each pair by Karatsuba, n**log2(3) digits
@@ -435,13 +423,13 @@ def _kronecker_pays(
     else:
         big_mul = long / short * _KARATSUBA_CUTOFF**2 * (short / _KARATSUBA_CUTOFF) ** 1.585
     kronecker = (
-        1900 * (len(outer) + len(inner)) + (xo + xi + 1) * width * (96 + 4.9 * digits) + big_mul
+        1900 * (n_outer + n_inner) + (xo + xi + 1) * width * (96 + 4.9 * digits) + big_mul
     )
     pair = 250 + 3.7 * (mo.bit_length() / 30 + 1) * (mi.bit_length() / 30 + 1)
-    return kronecker < len(outer) * len(inner) * pair
+    return kronecker < n_outer * n_inner * pair
 
 
-def _pack(terms: list[tuple[Exponent, int]], width: int, n_slots: int, nbytes: int) -> int:
+def _pack(terms: IntTerms, width: int, n_slots: int, nbytes: int) -> int:
     """The integer whose base-``2**(8*nbytes)`` digits are the coefficients.
 
     Term ``(i, j)`` goes to slot ``i*width + j`` of ``n_slots``.  Positive
@@ -450,7 +438,7 @@ def _pack(terms: list[tuple[Exponent, int]], width: int, n_slots: int, nbytes: i
     """
     pos = bytearray(n_slots * nbytes)
     neg = bytearray(n_slots * nbytes)
-    for (i, j), c in terms:
+    for (i, j), c in terms.items():
         off = (i * width + j) * nbytes
         if c > 0:
             pos[off : off + nbytes] = c.to_bytes(nbytes, "little")
@@ -460,7 +448,7 @@ def _pack(terms: list[tuple[Exponent, int]], width: int, n_slots: int, nbytes: i
 
 
 def _mul_kronecker(
-    outer: list[tuple[Exponent, int]], inner: list[tuple[Exponent, int]]
+    outer: IntTerms, inner: IntTerms, ext_outer: Extent, ext_inner: Extent
 ) -> dict[Exponent, int]:
     """Integer product by Kronecker substitution: one big-int multiply.
 
@@ -470,7 +458,7 @@ def _mul_kronecker(
     each digit non-negative, so the product unpacks byte-wise; a slot that
     holds the bias alone is a zero coefficient and is left out.
     """
-    (xo, yo, mo), (xi, yi, mi) = _extent(outer), _extent(inner)
+    (xo, yo, mo), (xi, yi, mi) = ext_outer, ext_inner
     width = yo + yi + 1
     slot_bits = _slot_bits(mo, mi, len(inner))
     nbytes = slot_bits // 8
@@ -527,7 +515,7 @@ class RatFn:
       * ``diff`` lowers the exponent of each factor that depends on the
         variable by one (the quotient rule, factor by factor).
 
-    Factors match by identity or by equal terms.  No cancellation between
+    Factors match by identity or by equal value.  No cancellation between
     ``poly`` and the factors is attempted (there is no multivariate gcd here,
     on purpose).  Since every factor is nonzero, the function is zero exactly
     when ``poly`` is: that is the exact zero test of :meth:`is_zero` and
@@ -741,10 +729,10 @@ def _coerce_ratfn(value) -> "RatFn":
 
 
 def _find(rows: list, f: BiPoly):
-    """The row whose factor is ``f`` (same object or same terms), or None."""
+    """The row whose factor is ``f`` (same object or same value), or None."""
     for row in rows:
         g = row[0]
-        if g is f or g.terms == f.terms:
+        if g is f or (g.terms == f.terms and g.denom == f.denom):
             return row
     return None
 
@@ -812,7 +800,7 @@ def poly_to_str(p: BiPoly) -> str:
     keys = sorted(p.terms, key=lambda key: (-(key[0] + key[1]), -key[0]))
     pieces: list[str] = []
     for key in keys:
-        coeff = p.terms[key]
+        coeff = Fraction(p.terms[key], p.denom)
         mono = _mono_str(*key)
         mag = -coeff if coeff < 0 else coeff
         if not mono:

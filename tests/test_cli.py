@@ -250,7 +250,9 @@ def _value_by_terms(f, x: Fraction, y: Fraction) -> Fraction:
     """Oracle: ``f`` as plain Fraction sums over the terms of its polynomials."""
 
     def poly(p):
-        return sum((c * x**i * y**j for (i, j), c in p.terms.items()), Fraction(0))
+        return sum(
+            (Fraction(c, p.denom) * x**i * y**j for (i, j), c in p.terms.items()), Fraction(0)
+        )
 
     value = poly(f.poly)
     for g, e in f.factors:

@@ -20,6 +20,7 @@ from darboux2d.polyrat import (
     ExponentCapError,
     PoleEvaluationError,
     RatFn,
+    _extent,
     _kronecker_pays,
     _mul_kronecker,
     _mul_schoolbook,
@@ -258,9 +259,14 @@ def test_eval_is_a_homomorphism(p, a, b):
     assert q.eval(a, b) == p.eval(a, b) ** 2 - 3 * p.eval(a, b)
 
 
+def _fractions(p: BiPoly) -> dict:
+    """The coefficients of ``p`` as ``Fraction``s, keyed by exponent."""
+    return {key: Fraction(c, p.denom) for key, c in p.terms.items()}
+
+
 def _sum_terms(p: BiPoly, x: Fraction, y: Fraction) -> Fraction:
     """Oracle: the value of ``p`` as a plain Fraction sum over its terms."""
-    return sum((c * x**i * y**j for (i, j), c in p.terms.items()), Fraction(0))
+    return sum((c * x**i * y**j for (i, j), c in _fractions(p).items()), Fraction(0))
 
 
 def _ratfn_by_terms(f: RatFn, x: Fraction, y: Fraction) -> Fraction:
@@ -369,7 +375,7 @@ def ratfn_programs(draw):
     for _ in range(3):
         d = draw(st.sampled_from(dens))
         if draw(st.booleans()):
-            d = BiPoly(dict(d.terms))  # equal terms, another object
+            d = BiPoly(_fractions(d))  # equal terms, another object
         atoms.append((draw(_small_polys), d))
     index = st.integers(min_value=0, max_value=7)
     steps = draw(st.lists(st.tuples(st.sampled_from(_RATFN_STEPS), index, index),
@@ -413,7 +419,7 @@ _huge_ints = st.builds(
 
 @st.composite
 def int_terms(draw, max_exp=12, max_terms=80):
-    """Integer term lists: one-term, sparse, or dense up to a total degree."""
+    """Integer term dicts: one-term, sparse, or dense up to a total degree."""
     coeff = draw(st.sampled_from([_small_ints, _huge_ints, st.integers().filter(bool)]))
     shape = draw(st.sampled_from(["one", "sparse", "dense"]))
     if shape == "one":
@@ -431,7 +437,7 @@ def int_terms(draw, max_exp=12, max_terms=80):
         d = draw(st.integers(0, max_exp))
         keys = [(i, s - i) for s in range(d + 1) for i in range(s + 1)]
         keys = draw(st.permutations(keys))
-    return [(key, draw(coeff)) for key in keys]
+    return {key: draw(coeff) for key in keys}
 
 
 @st.composite
@@ -440,8 +446,8 @@ def telescoping(draw):
     n = draw(st.integers(1, 20))
     r = draw(st.lists(st.integers(-(2**520), 2**520).filter(bool), min_size=1, max_size=8))
     t = draw(st.lists(_small_ints, min_size=1, max_size=8))
-    outer = [((i, j), c) for i in range(n + 1) for j, c in enumerate(r)]
-    inner = [((0, l), c) for l, c in enumerate(t)] + [((1, l), -c) for l, c in enumerate(t)]
+    outer = {(i, j): c for i in range(n + 1) for j, c in enumerate(r)}
+    inner = {(0, l): c for l, c in enumerate(t)} | {(1, l): -c for l, c in enumerate(t)}
     return outer, inner
 
 
@@ -449,9 +455,17 @@ def _ordered(outer, inner):
     return (outer, inner) if len(outer) >= len(inner) else (inner, outer)
 
 
+def _pays(outer, inner):
+    return _kronecker_pays(len(outer), len(inner), _extent(outer), _extent(inner))
+
+
+def _kronecker(outer, inner):
+    return _mul_kronecker(outer, inner, _extent(outer), _extent(inner))
+
+
 def _assert_paths_agree(outer, inner):
     oracle = {key: val for key, val in _mul_schoolbook(outer, inner).items() if val}
-    assert _mul_kronecker(outer, inner) == oracle
+    assert _kronecker(outer, inner) == oracle
 
 
 # every default phase but shrink (and explain, which needs it): shrinking
@@ -468,9 +482,9 @@ def test_kronecker_matches_schoolbook(a, b):
 @given(telescoping())
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 def test_kronecker_matches_schoolbook_under_cancellation(pair):
-    n = max(i for (i, _), _ in pair[0])
+    n = max(i for i, _ in pair[0])
     outer, inner = _ordered(*pair)
-    product = _mul_kronecker(outer, inner)
+    product = _kronecker(outer, inner)
     # (1 - x^(n+1)) r(y) t(y): the middle x-powers cancel and are left out
     assert {i for i, _ in product} == {0, n + 1}
     _assert_paths_agree(outer, inner)
@@ -480,14 +494,14 @@ def test_kronecker_matches_schoolbook_under_cancellation(pair):
 def fraction_polys(draw):
     terms = draw(int_terms(max_exp=14, max_terms=100))
     dens = draw(st.sampled_from([st.just(1), st.integers(1, 12), st.integers(1, 2**40)]))
-    return BiPoly({key: Fraction(c, draw(dens)) for key, c in terms})
+    return BiPoly({key: Fraction(c, draw(dens)) for key, c in terms.items()})
 
 
 def _fraction_oracle(a: BiPoly, b: BiPoly) -> dict:
     big, small = (a, b) if a.n_terms >= b.n_terms else (b, a)
     out: dict = {}
-    for (i1, j1), c1 in big.terms.items():
-        for (i2, j2), c2 in small.terms.items():
+    for (i1, j1), c1 in _fractions(big).items():
+        for (i2, j2), c2 in _fractions(small).items():
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: val for key, val in out.items() if val}
@@ -496,32 +510,32 @@ def _fraction_oracle(a: BiPoly, b: BiPoly) -> dict:
 @given(fraction_polys(), fraction_polys())
 @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 def test_product_matches_fraction_oracle_on_both_sides_of_cutover(a, b):
-    assert (a * b).terms == _fraction_oracle(a, b)
+    assert _fractions(a * b) == _fraction_oracle(a, b)
 
 
 def _dense(degree, coeff):
-    return [((i, s - i), coeff(i, s - i)) for s in range(degree + 1) for i in range(s + 1)]
+    return {(i, s - i): coeff(i, s - i) for s in range(degree + 1) for i in range(s + 1)}
 
 
 def test_cutover_takes_each_path():
     dense = _dense(20, lambda i, j: (7 * i + 3 * j) % 11 - 5 or 1)
-    assert _kronecker_pays(dense, dense)
+    assert _pays(dense, dense)
     # a thousand-term operand times a twenty-term one packs mostly empty slots
     lopsided = _dense(44, lambda i, j: 3**i - 2**j or 1)
-    sparse = [((i, i), 2**300 + i) for i in range(20)]
-    assert not _kronecker_pays(lopsided, sparse)
+    sparse = {(i, i): 2**300 + i for i in range(20)}
+    assert not _pays(lopsided, sparse)
     tiny = _dense(2, lambda i, j: i - j or 1)
-    assert not _kronecker_pays(tiny, tiny)
-    pa, pb = (BiPoly(dict(terms)) for terms in (dense, sparse))
-    assert (pa * pb).terms == _fraction_oracle(pa, pb)
+    assert not _pays(tiny, tiny)
+    pa, pb = BiPoly(dense), BiPoly(sparse)
+    assert _fractions(pa * pb) == _fraction_oracle(pa, pb)
 
 
 def test_kronecker_degree_40_full_triangle():
     a = _dense(40, lambda i, j: (i * 31 + j * 17) % 23 - 11 or 5)
     b = _dense(40, lambda i, j: (i * 13 - j * 7) % 19 - 9 or -3)
-    assert _kronecker_pays(a, b)
+    assert _pays(a, b)
     _assert_paths_agree(a, b)
-    pa, pb = BiPoly(dict(a)), BiPoly(dict(b))
+    pa, pb = BiPoly(a), BiPoly(b)
     product = pa * pb
     assert product.total_degree() == 80
     point = (Fraction(2, 3), Fraction(-5, 7))
@@ -530,8 +544,8 @@ def test_kronecker_degree_40_full_triangle():
 
 def test_kronecker_checks_exponent_cap_before_packing(monkeypatch):
     dense = _dense(6, lambda i, j: i + 2 * j + 1)
-    assert _kronecker_pays(dense, dense)
-    p = BiPoly(dict(dense))
+    assert _pays(dense, dense)
+    p = BiPoly(dense)
     monkeypatch.setenv("DARBOUX_EXP_CAP", "8")
 
     def no_packing(*args):
@@ -545,9 +559,9 @@ def test_kronecker_checks_exponent_cap_before_packing(monkeypatch):
 def test_schoolbook_checks_exponent_cap_before_multiplying(monkeypatch):
     # a sparse operand stays on the schoolbook path; the cap must trip on the
     # operands' degrees before any pair of terms is multiplied
-    sparse = [((i, 40 * i), i + 1) for i in range(6)]
-    assert not _kronecker_pays(sparse, sparse)
-    p = BiPoly(dict(sparse))
+    sparse = {(i, 40 * i): i + 1 for i in range(6)}
+    assert not _pays(sparse, sparse)
+    p = BiPoly(sparse)
     monkeypatch.setenv("DARBOUX_EXP_CAP", "300")
 
     def no_pairs(*args):
@@ -565,3 +579,89 @@ def test_exponent_cap_holds_for_outside_terms_not_for_sums(monkeypatch):
         BiPoly({(9, 0): 1})
     # a sum cannot create an exponent its inputs lack, so it is not checked
     assert (p + 1) - p == ONE
+
+
+# -- canonical form: integer terms over one denominator ---------------------
+#
+# Equality compares the term dict and `denom` as they are, so every result
+# must come out reduced: denom >= 1, gcd(denom, *terms) == 1, no stored
+# zero, and denom == 1 for the zero polynomial.  Plain asserts in a test
+# module are rewritten by pytest and still run under `python -O`.
+
+
+def _assert_canonical(p: BiPoly) -> None:
+    assert p.denom >= 1
+    assert math.gcd(p.denom, *p.terms.values()) == 1
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert p.terms or p.denom == 1
+
+
+@st.composite
+def dense_polys(draw, degree=8):
+    """A full triangle of terms with nonzero rational coefficients."""
+    coeff = st.fractions(min_value=-10, max_value=10, max_denominator=12).filter(bool)
+    return BiPoly({(i, s - i): draw(coeff) for s in range(degree + 1) for i in range(s + 1)})
+
+
+@given(polys(), polys(), dense_polys(), dense_polys(), _coeffs, st.integers(0, 3))
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+def test_guard_every_operation_returns_the_canonical_form(p, q, a, b, c, n):
+    # p * q stays on the schoolbook path, a * b goes through Kronecker
+    assert p.n_terms * q.n_terms < polyrat._KRONECKER_MIN_PAIRS
+    assert _pays(a.terms, b.terms)
+    results = [
+        p, q, a, BiPoly.const(c), p + q, p + p, p + c, p - q, p - p, c - p, -p,
+        p * q, a * b, p * c, c * p, p * Fraction(3, 2), p**n, p.diff("x"), a.diff("y"),
+    ]
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_guard_canonical_form_negative_controls():
+    half_x = BiPoly({(1, 0): Fraction(1, 2)})
+    # a product that kept denom 2 over terms 2x would not equal X
+    assert half_x * 2 == X
+    assert half_x * 2 != 2 * X
+    # equal integer terms, different denominators: not the same polynomial
+    assert half_x.terms == X.terms and half_x != X
+    # nor the same factor: a `_find` that ignored `denom` would merge them
+    f = RatFn(1, X + 1) * RatFn(1, (X + 1) * Fraction(1, 2))
+    assert len(f.factors) == 2
+    assert f.eval(1, 0) == Fraction(1, 2)  # 2 / (x + 1)^2 at x = 1
+
+
+def _old_eval_float(p: BiPoly, x, y):
+    """Oracle: the float value with each coefficient rounded by `float(Fraction)`."""
+    xp, yp = [1.0 + 0.0 * x], [1.0 + 0.0 * y]
+    for _ in range(p.degree("x")):
+        xp.append(xp[-1] * x)
+    for _ in range(p.degree("y")):
+        yp.append(yp[-1] * y)
+    total = 0.0 * x * y
+    for (i, j), c in sorted(p.terms.items()):
+        total = total + float(Fraction(c, p.denom)) * xp[i] * yp[j]
+    return total
+
+
+@st.composite
+def float_eval_polys(draw):
+    coeff = draw(st.sampled_from([_small_ints, st.integers(-(2**64), 2**64), _huge_ints]))
+    den = draw(st.sampled_from([
+        st.just(1), st.integers(1, 12), st.integers(1, 2**40),
+        st.integers(0, 52).map(lambda k: 2**k),  # the dyadics of floats
+    ]))
+    keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                         max_size=12, unique=True))
+    return BiPoly({key: Fraction(draw(coeff), draw(den)) for key in keys})
+
+
+_float_points = st.floats(min_value=-3, max_value=3)
+
+
+@given(float_eval_polys(), _float_points, _float_points,
+       st.lists(_float_points, min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+def test_eval_float_matches_the_fraction_coefficient_sum_bit_for_bit(p, x, y, row):
+    assert _bits(p.eval_float(x, y)) == _bits(_old_eval_float(p, x, y))
+    xs = np.array(row)
+    assert _bits(p.eval_float(xs, y)) == _bits(_old_eval_float(p, xs, y))
