@@ -41,6 +41,7 @@ from darboux2d.polyrat import (
     ZERO,
     ExponentCapError,
     as_fraction,
+    over_one_denominator,
     ratfn_to_str,
 )
 from darboux2d.verify import check_schrodinger, run_suite, targets_for_family
@@ -196,6 +197,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_progress(name: str, report, seconds: float) -> None:
+    line = {"target": name, "verdict": report.verdict, "seconds": round(seconds, 3)}
+    print(json.dumps(line), file=sys.stderr, flush=True)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     targets = [t.strip() for t in (args.targets or "").split(",") if t.strip()]
     if not targets:
@@ -204,7 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError("invalid-params", str(exc)) from None
     try:
-        reports = run_suite(targets, args.seed)
+        reports = run_suite(targets, args.seed, _print_progress if args.progress else None)
     except ValueError as exc:
         raise CliError("invalid-params", str(exc)) from None
     payload = json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2)
@@ -254,62 +260,54 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _field_closure(family: str, field: str, raw: dict) -> Callable[[list[float], float], list]:
-    """The field as a function of one grid row ``(xs, y)``, one value per point."""
+def _rounded(n: int, d: int) -> float:
+    """``float(Fraction(n, d))``: one correctly rounded int true division."""
+    if d < 0:  # 0 / -5 is -0.0, but Fraction(0, -5) is 0
+        n, d = -n, -d
+    try:
+        return n / d
+    except OverflowError:  # beyond the double range
+        return math.nan
+
+
+def _row_sampler(family: str, field: str, raw: dict, xs: list[float]) -> Callable[[float], list]:
+    """The field along the grid row at ``y``, one double per x in ``xs``."""
     if family == "tanh":
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
         B_s, u = build_tanh(C1, C2)
         f = B_s if field == "B" else u
         # scalar calls, not one numpy array call: an array moves the last ulps
-        return lambda xs, y: [f(x, y) for x in xs]
+        return lambda y: [float(f(x, y)) for x in xs]
     sol, closed = _rational_instance(family, _coerce_params(family, raw))
     target = sol.B if field == "B" else closed.u
-
-    def sample(xs: list[float], y: float) -> list[Fraction]:
-        # exact rational values at the (exactly representable) grid points;
-        # `cmd_grid` rounds each once, so the emitted double re-evaluates
-        # bit-for-bit
-        return target.eval([Fraction(x) for x in xs], Fraction(y))
-
-    return sample
+    # exact rational values at the (exactly representable) grid points, each
+    # rounded once, so the emitted double re-evaluates bit-for-bit
+    ps, q = over_one_denominator([Fraction(x) for x in xs])
+    return lambda y: list(map(_rounded, *target.eval_row(ps, q, Fraction(y))))
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     raw = _load_params(args.params)
     x_lo, x_hi, nx = _parse_axis(args.x)
     y_lo, y_hi, ny = _parse_axis(args.y)
-    f = _field_closure(args.family, args.field, raw)
     xs = [x_lo + (x_hi - x_lo) * i / (nx - 1) if nx > 1 else x_lo for i in range(nx)]
     ys = [y_lo + (y_hi - y_lo) * j / (ny - 1) if ny > 1 else y_lo for j in range(ny)]
-    nonfinite = 0
-    rows = []
+    f = _row_sampler(args.family, args.field, raw, xs)
+    null = "null" if args.format == "json" else ""
+    x_texts = [_float_text(x) for x in xs]
+    cells, nonfinite = [], 0
     for y in ys:  # y is the outer loop
-        for x, v in zip(xs, f(xs, y)):
-            try:
-                value = float(v)
-            except OverflowError:  # an exact value beyond the double range
-                value = math.nan
-            if math.isfinite(value):
-                rows.append((x, y, value))
-            else:
-                nonfinite += 1
-                rows.append((x, y, None))
-
+        y_text = _float_text(y)
+        for x_text, value in zip(x_texts, f(y)):
+            finite = math.isfinite(value)
+            nonfinite += not finite
+            cells.append((x_text, y_text, _float_text(value) if finite else null))
     if args.format == "json":
-        body = ",\n".join(
-            f"[{_float_text(x)}, {_float_text(y)}, "
-            f"{'null' if v is None else _float_text(v)}]"
-            for x, y, v in rows
-        )
-        text = "[\n" + body + "\n]"
+        text = "[\n" + ",\n".join(f"[{x}, {y}, {v}]" for x, y, v in cells) + "\n]"
     else:
-        lines = ["x,y,value"]
-        for x, y, v in rows:
-            lines.append(f"{_float_text(x)},{_float_text(y)},"
-                         f"{'' if v is None else _float_text(v)}")
-        text = "\n".join(lines)
+        text = "\n".join(["x,y,value", *(f"{x},{y},{v}" for x, y, v in cells)])
     _write_out(text, args.out)
-    print(json.dumps({"points": len(rows), "nonfinite": nonfinite}), file=sys.stderr)
+    print(json.dumps({"points": len(cells), "nonfinite": nonfinite}), file=sys.stderr)
     return 0
 
 
@@ -343,6 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--targets", default=None,
                           help="comma-separated explicit target names")
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--progress", action="store_true",
+                          help="print one JSON line per finished target on stderr")
     p_verify.add_argument("--out", default=None)
 
     p_transform = sub.add_parser("transform", help="apply the solution transform")

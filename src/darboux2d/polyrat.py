@@ -92,6 +92,14 @@ def as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")
 
 
+def over_one_denominator(xs: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integers ``ps`` with ``xs[k] == ps[k] / q``, ``q`` the lcm of the
+    denominators (for a float grid, the largest power of two); no floats."""
+    fs = [as_fraction(v) for v in xs]
+    q = math.lcm(*(v.denominator for v in fs))
+    return [v.numerator * (q // v.denominator) for v in fs], q
+
+
 def _check_cap(terms: Iterable[Exponent]) -> None:
     cap = exponent_cap()
     for i, j in terms:
@@ -272,32 +280,33 @@ class BiPoly:
 
         ``x`` is one scalar, or a list or tuple of them: the points
         ``(x[k], y)`` of one row, whose values come back as a list (the
-        shape of ``eval_float(x_array, y)``).  Floats are rejected.
-
-        The work stays in integers: the powers of ``y`` collapse into one
-        integer coefficient per power of ``x``, and each point ``p/q`` runs
-        Horner in ``x`` homogenised by ``q``.  One ``Fraction`` (one gcd) is
-        built per point.
+        shape of ``eval_float(x_array, y)``).  Floats are rejected.  The row
+        is evaluated in integers (:meth:`eval_row`), and one ``Fraction`` is
+        built per point, as for a rational function.
         """
-        row = isinstance(x, (list, tuple))
-        xs = [as_fraction(v) for v in (x if row else (x,))]
-        yv = as_fraction(y)
+        return RatFn._of(self, ()).eval(x, y)
+
+    def eval_row(self, ps: Sequence[int], q: int, y: Fraction) -> tuple[list[int], int]:
+        """Exact values at the points ``(ps[k]/q, y)``: one integer per point
+        over one positive denominator.
+
+        The powers of ``q`` and of ``y`` fold into one integer coefficient per
+        power of ``x``, once per row, so Horner is int multiply-add.
+        """
         dx, dy = self.degree("x"), self.degree("y")
-        yn, yd = yv.numerator, yv.denominator
+        yn, yd = y.numerator, y.denominator
         ypow = [yn**j * yd ** (dy - j) for j in range(dy + 1)]
-        coeffs = [0] * (dx + 1)  # row polynomial, times denom * yd^dy
+        coeffs = [0] * (dx + 1)  # coeffs[k] goes with p^(dx-k) q^k
         for (i, j), c in self.terms.items():
-            coeffs[i] += c * ypow[j]
-        den = self.denom * ypow[0]
-        values = []
-        for v in xs:
-            p, q = v.numerator, v.denominator
-            acc, qk = coeffs[dx], 1
-            for i in range(dx - 1, -1, -1):
-                qk *= q
-                acc = acc * p + coeffs[i] * qk
-            values.append(Fraction(acc, den * qk))
-        return values if row else values[0]
+            coeffs[dx - i] += c * ypow[j]
+        top, *rest = [c * q**k for k, c in enumerate(coeffs)]
+        nums = []
+        for p in ps:
+            acc = top
+            for c in rest:
+                acc = acc * p + c
+            nums.append(acc)
+        return nums, self.denom * ypow[0] * q**dx
 
     def eval_float(self, x, y):
         """Float (or numpy-array) value; coefficients are rounded to float.
@@ -678,22 +687,37 @@ class RatFn:
     def eval(self, x: Scalar | Sequence[Scalar], y: Scalar) -> Fraction | list[Fraction]:
         """Exact value at a rational point, or along one grid row.
 
-        ``x`` takes the same forms as in :meth:`BiPoly.eval`: the rows of
-        ``poly`` and of each factor are evaluated once and multiplied point
-        by point.  A zero denominator anywhere on the row raises
-        :class:`PoleEvaluationError`.
+        ``x`` takes the same forms as in :meth:`BiPoly.eval`.  A zero
+        denominator anywhere on the row raises :class:`PoleEvaluationError`.
         """
         row = isinstance(x, (list, tuple))
-        xs = x if row else [x]
-        num, den = self.poly.eval(xs, y), [1] * len(xs)
-        for f, e in self.factors:
-            side = num if e > 0 else den
-            for k, v in enumerate(f.eval(xs, y)):
-                side[k] *= v ** abs(e)
-        if 0 in den:
-            raise PoleEvaluationError(f"denominator vanishes at ({xs[den.index(0)]}, {y})")
-        values = [n / d for n, d in zip(num, den)]
+        nums, dens = self.eval_row(*over_one_denominator(x if row else (x,)), as_fraction(y))
+        values = [Fraction(n, d) for n, d in zip(nums, dens)]
         return values if row else values[0]
+
+    def eval_row(self, ps: Sequence[int], q: int, y: Fraction) -> tuple[list[int], list[int]]:
+        """Exact values at the points ``(ps[k]/q, y)``: per point an integer
+        numerator and a nonzero integer denominator of either sign.
+
+        Each factor's integers (:meth:`BiPoly.eval_row`) go to one side, its
+        row constant to the other side's scale.  A zero denominator raises
+        :class:`PoleEvaluationError` naming the first such point.
+        """
+        nums, den_scale = self.poly.eval_row(ps, q, y)
+        dens, num_scale = [1] * len(nums), 1
+        for f, e in self.factors:
+            vals, scale = f.eval_row(ps, q, y)
+            k = abs(e)
+            if e > 0:
+                nums = [n * v**k for n, v in zip(nums, vals)]
+                den_scale *= scale**k
+            else:
+                dens = [d * v**k for d, v in zip(dens, vals)]
+                num_scale *= scale**k
+        if 0 in dens:
+            pole = Fraction(ps[dens.index(0)], q)
+            raise PoleEvaluationError(f"denominator vanishes at ({pole}, {y})")
+        return [n * num_scale for n in nums], [d * den_scale for d in dens]
 
     def eval_float(self, x, y):
         num, den = self.poly.eval_float(x, y), 1.0

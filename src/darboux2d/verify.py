@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from fractions import Fraction
@@ -57,9 +58,10 @@ from darboux2d.polyrat import (
     ratfn_is_zero,
 )
 
-# A numeric field: takes (x_array, y) with a float y and returns the values
-# along that grid row (numpy broadcasting, e.g. `RatFn.eval_float`).
-NumFn = Callable[[np.ndarray, float], np.ndarray]
+# A numeric field: takes (x_array, y_column) of shapes (n,) and (rows, 1) and
+# returns the values on that block of grid rows by numpy broadcasting (e.g.
+# `RatFn.eval_float`).
+NumFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -224,12 +226,14 @@ def _numeric_report(
     )
 
 
+_SAMPLE_ROWS = 64  # grid rows per field call, so per intermediate array
+
+
 def _sample(f: NumFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # one call per row: a whole-grid call would hold every power of x and y
-    # that `RatFn.eval_float` builds as a grid-sized array at once
+    # broadcasting is element by element: each value has its one-row bits
     grid = np.empty((len(ys), len(xs)))
-    for i, y in enumerate(ys):
-        grid[i] = f(xs, float(y))
+    for i in range(0, len(ys), _SAMPLE_ROWS):
+        grid[i : i + _SAMPLE_ROWS] = f(xs, ys[i : i + _SAMPLE_ROWS, None])
     return grid
 
 
@@ -261,10 +265,11 @@ def fd_residual(
 ) -> ResidualReport:
     """Max |lap(Y) - u Y| over interior grid points, by central differences.
 
-    `u` and `Y` are sampled one grid row per call, as ``f(xs, y)`` with the
-    row's x values as a numpy array and a float y, so they must broadcast
-    over arrays (`RatFn.eval_float` does).  Rows rather than the whole grid
-    keep memory to a few rows of intermediates.
+    `u` and `Y` are sampled a block of up to 64 grid rows per call, as
+    ``f(xs, ys)`` with the x values as a numpy array of shape (n,) and the
+    block's y values as a column of shape (rows, 1), so they must broadcast
+    (`RatFn.eval_float` does).  The block bound keeps each intermediate
+    array to 64 rows of the grid.
 
     Points where the residual is not finite (a pole of either field, an
     overflow) are skipped and counted in ``skipped_points``.  Raises if no
@@ -592,31 +597,17 @@ def _run_ufromh_b0(seed: int) -> ResidualReport:
 
 
 def _run_spot_values(seed: int) -> ResidualReport:
-    name = "spot:potentials"
+    # (check, family tag, parameters, exact value of u at the origin)
+    spots = [(f"u0(0,0) with C={C}", "B0", {"x0": 0, "y0": 0, "C": C}, Fraction(-8) / C)
+             for C in (Fraction(1), Fraction(3, 2), Fraction(7))]
+    spots += [("u1(0,0) tsarev-1", "B1", PRESETS["tsarev-1"].params, Fraction(-1, 5)),
+              ("u3(0,0)", "B3", DEFAULT_PARAMS["B3"], 0)]
     cases = []
-    for C in (Fraction(1), Fraction(3, 2), Fraction(7)):
-        u0 = closed_potential("B0", {"x0": 0, "y0": 0, "C": C}).u
-        val = u0.eval(0, 0)
-        cases.append({
-            "check": f"u0(0,0) with C={C}",
-            "verdict": "pass" if val == Fraction(-8) / C else "fail",
-            "value": str(val),
-        })
-    u1 = closed_potential("B1", PRESETS["tsarev-1"].params).u
-    val1 = u1.eval(0, 0)
-    cases.append({
-        "check": "u1(0,0) tsarev-1",
-        "verdict": "pass" if val1 == Fraction(-1, 5) else "fail",
-        "value": str(val1),
-    })
-    u3 = closed_potential("B3", DEFAULT_PARAMS["B3"]).u
-    val3 = u3.eval(0, 0)
-    cases.append({
-        "check": "u3(0,0)",
-        "verdict": "pass" if val3 == 0 else "fail",
-        "value": str(val3),
-    })
-    return _aggregate(name, cases, seed)
+    for check, tag, params, expected in spots:
+        val = closed_potential(tag, params).u.eval(0, 0)
+        cases.append({"check": check, "verdict": "pass" if val == expected else "fail",
+                      "value": str(val)})
+    return _aggregate("spot:potentials", cases, seed)
 
 
 _DECAY_EXPONENT = {"b0": -4.0, "b1": -6.0, "b2": -8.0, "b3": -10.0}
@@ -650,9 +641,11 @@ def _run_smooth(key: str, seed: int) -> ResidualReport:
     # u = num / den^2 with den = M + C: den^2 >= C^2 exactly where |den| >= C
     ((den, _),) = closed_potential(tag, params).u.factors
     C = params["C"]
-    step = Fraction(2, 5)  # 101 points across [-20, 20]
-    lattice = [-20 + step * i for i in range(101)]
-    worst = min(min(map(abs, den.eval(lattice, y))) for y in lattice)
+    # the lattice is ps / 5, 101 points across [-20, 20]; the smallest |den|
+    # of each row is found on its integers over one positive denominator
+    ps = range(-100, 101, 2)
+    rows = (den.eval_row(ps, 5, Fraction(p, 5)) for p in ps)
+    worst = min(Fraction(min(map(abs, nums)), d) for nums, d in rows)
     detail = {
         "residual_terms": 0,
         "grid": "101x101 on [-20,20]^2",
@@ -764,14 +757,22 @@ def targets_for_family(family: str) -> list[str]:
     return hits
 
 
-def run_suite(targets: Sequence[str], seed: int) -> list[ResidualReport]:
+def run_suite(targets: Sequence[str], seed: int,
+              progress: Callable[[str, ResidualReport, float], None] | None = None
+              ) -> list[ResidualReport]:
     """Run named certification targets with deterministic seeded draws.
 
     Reports come back sorted by check name; running twice with the same seed
-    gives identical reports.
+    gives identical reports.  ``progress``, if given, is called as each
+    target finishes, with its name, its report and its wall time in seconds.
     """
     unknown = [t for t in targets if t not in _TARGETS]
     if unknown:
         raise ValueError(f"unknown target(s): {', '.join(unknown)}")
-    reports = [_TARGETS[name][1](seed) for name in targets]
+    reports = []
+    for name in targets:
+        start = time.perf_counter()
+        reports.append(_TARGETS[name][1](seed))
+        if progress is not None:
+            progress(name, reports[-1], time.perf_counter() - start)
     return sorted(reports, key=lambda r: r.check_name)

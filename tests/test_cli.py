@@ -1,6 +1,8 @@
 """CLI tests driven through main() plus one console-script smoke test."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darboux2d import cli
 from darboux2d.cli import main
@@ -21,7 +25,7 @@ from darboux2d.families import (
     closed_potential,
 )
 from darboux2d.harmonic import laplace_constrained_numerator
-from darboux2d.polyrat import ratfn_to_str
+from darboux2d.polyrat import ONE, X, Y, RatFn, over_one_denominator, ratfn_to_str
 
 
 # recorded `build` text (csv and json) of each family at its defaults and of
@@ -32,6 +36,10 @@ BUILD_TEXTS = json.loads((DATA / "build_texts.json").read_text())
 # `transform --format json` for b0 and b1 with the const seed and the re/im
 # seeds of degrees 0-3; key family:kind[:degree], value exit code and stdout
 TRANSFORM_TEXTS = json.loads((DATA / "transform_texts.json").read_text())
+# `grid` runs: the 101x101 tsarev-1 CSV, a B field, JSON output, b1 at p/q
+# parameters off the defaults and the C = 10^-400 overflow row; key name,
+# value argv, exit code, stderr and the sha256 of stdout
+GRID_TEXTS = json.loads((DATA / "grid_texts.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +288,14 @@ def test_grid_round_trip_matches_exact_eval(capsys):
             assert v == float(exact)  # bit-for-bit round trip
 
 
+@pytest.mark.parametrize("key", sorted(GRID_TEXTS))
+def test_grid_output_matches_the_recorded_digest(capsys, key):
+    recorded = GRID_TEXTS[key]
+    code, out, err = run_cli(capsys, *recorded["argv"])
+    assert (code, err) == (recorded["exit"], recorded["stderr"])
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded["sha256"]
+
+
 def test_grid_y_outer_loop_order(capsys):
     code, out, _ = run_cli(capsys, "grid", "--family", "b0",
                            "--x", "0:1:2", "--y", "0:1:2")
@@ -331,6 +347,39 @@ def test_grid_rational_overflow_nulls_only_that_point(capsys):
     assert code == 0
     assert out == "x,y,value\n-1,0,-0\n0,0,\n1,0,-0\n"
     assert json.loads(err) == {"points": 3, "nonfinite": 1}
+
+
+def _float_or_nan(v: Fraction) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.nan
+
+
+_grid_points = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.floats(min_value=-3, max_value=3).map(Fraction),
+)
+
+
+@given(
+    st.sampled_from([Fraction(1), Fraction(-3, 7), Fraction(10**400), Fraction(-1, 10**400),
+                     Fraction(1, 3 * 10**320)]),
+    st.lists(_grid_points, max_size=6),
+    _grid_points,
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_rounding_matches_float_of_the_exact_value(scale, row, y):
+    # a denominator negative everywhere; the row holds y, where the value is
+    # an exact zero over it; a huge or tiny scale overflows or underflows
+    f = RatFn((X - Y) * scale, -(X * X + Y * Y + 1)) / RatFn(ONE, X * X + 2)
+    xs, y = [Fraction(x) for x in row] + [Fraction(y)], Fraction(y)
+    ps, q = over_one_denominator(xs)
+    rounded = list(map(cli._rounded, *f.eval_row(ps, q, y)))
+    expected = [_float_or_nan(v) for v in f.eval(xs, y)]
+    assert [v.hex() for v in rounded] == [v.hex() for v in expected]
+    assert rounded[-1].hex() == "0x0.0p+0"
 
 
 @pytest.mark.parametrize("params", [
@@ -401,6 +450,19 @@ def test_verify_deterministic_output(capsys, tmp_path):
                  "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_progress_prints_one_stderr_line_per_target(capsys):
+    argv = ["verify", "--targets", "smooth:b0,dim:b1,spot:potentials", "--seed", "7"]
+    code, out, err = run_cli(capsys, *argv)
+    code_p, out_p, err_p = run_cli(capsys, *argv, "--progress")
+    assert (code, code_p, err) == (0, 0, "")
+    assert out_p == out  # the report is the same byte for byte
+    lines = [json.loads(line) for line in err_p.splitlines()]
+    assert [line["target"] for line in lines] == ["smooth:b0", "dim:b1", "spot:potentials"]
+    for line in lines:
+        assert list(line) == ["target", "verdict", "seconds"]
+        assert line["verdict"] == "pass" and line["seconds"] >= 0
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -26,6 +26,7 @@ from darboux2d.polyrat import (
     _mul_schoolbook,
     as_fraction,
     laplacian,
+    over_one_denominator,
     poly_to_str,
     ratfn_is_zero,
     ratfn_to_str,
@@ -321,15 +322,48 @@ def test_row_eval_through_a_pole_raises_and_floats_are_rejected():
     assert f.eval([-1, 2, Fraction(1, 3)], 9) == [
         Fraction(-1, 8), Fraction(-1, 5), Fraction(-9, 80)
     ]
-    for row in ([3, -1, 2], [-1, 2, -3]):  # a pole first on the row, and last
-        with pytest.raises(PoleEvaluationError):
+    # a pole first on the row, and last; the error names the first one
+    for row, pole in (([3, -1, 2, -3], "3"), ([-1, 2, -3], "-3")):
+        with pytest.raises(PoleEvaluationError, match=rf"at \({pole}, 9\)"):
             f.eval(row, 9)
+    ps, q = over_one_denominator([Fraction(1, 2), Fraction(-3, 2), 0, Fraction(3, 2)])
+    with pytest.raises(PoleEvaluationError, match=r"at \(-3/2, 9/4\)"):
+        f.eval_row(ps, q, Fraction(9, 4))
     with pytest.raises(TypeError):
         (X + Y).eval([1, 0.5], 2)
     with pytest.raises(TypeError):
         (X + Y).eval(0.5, 2)
     with pytest.raises(TypeError):
         f.eval([Fraction(1, 2), 0.25], 2)
+
+
+
+# rows for the integer row evaluator: integers, coprime p/q, the dyadics of
+# floats and zero, evaluated under a negative y
+_mixed_rows = st.lists(st.one_of(_row_points, st.just(0)), max_size=8)
+_negative_y = _row_points.filter(lambda v: v < 0)
+
+
+@given(st.one_of(polys(), polys(max_exp=0), st.just(ZERO)), polys(max_terms=3, max_exp=2),
+       _mixed_rows, _negative_y)
+@settings(max_examples=60, deadline=None)
+def test_integer_row_eval_matches_a_per_point_fraction_oracle(p, g, row, y):
+    xs, y = [Fraction(x) for x in row], Fraction(y)
+    ps, q = over_one_denominator(xs)
+    assert q >= 1 and [Fraction(n, q) for n in ps] == xs
+    nums, den = p.eval_row(ps, q, y)
+    assert den > 0 and all(type(n) is int for n in nums)
+    assert [Fraction(n, den) for n in nums] == [_sum_terms(p, x, y) for x in xs]
+    # factors on both sides, one negative everywhere, so denominators of
+    # either sign
+    pos = g * g + Y * Y + 1
+    f = RatFn(p, -pos) * RatFn(X - Y + 3, pos * pos) / RatFn(ONE, pos + X * X)
+    assert sorted(e for _, e in f.factors) == [-1, -1, 1]
+    nums, dens = f.eval_row(ps, q, y)
+    assert all(type(v) is int and v for v in dens)
+    assert [Fraction(n, d) for n, d in zip(nums, dens)] == [
+        _ratfn_by_terms(f, x, y) for x in xs
+    ]
 
 
 # -- factored rational functions --------------------------------------------

@@ -233,6 +233,30 @@ def test_sample_rows_match_pointwise_eval():
         assert _sample(f.eval_float, xs, ys).tobytes() == oracle.tobytes()
 
 
+
+def test_blocked_sampling_matches_one_row_per_call():
+    u0 = closed_potential("B0", DEFAULT_PARAMS["B0"]).u
+    B0 = build_family("B0", DEFAULT_PARAMS["B0"]).B
+    B_s, u_t = families.build_tanh(1.0, 0.0)
+    # poles on the axes, grid lines of both grids: inf, and nan at (-1, 0)
+    pole = RatFn(X + 1, X * Y)
+    pairs = {  # the fd:order pair, the tanh:fd pair, and a field with poles
+        "fd:order": (u0.eval_float, B0.eval_float),
+        "tanh:fd": (u_t, B_s),
+        "pole": (pole.eval_float, (X * Y).eval_float),
+    }
+    for n in (401, 801):  # neither is a multiple of the block size
+        xs, ys = GridSpec((-2.0, 2.0), (-2.0, 2.0), n, n).axes()
+        for name, fields in pairs.items():
+            for f in fields:
+                with np.errstate(all="ignore"):
+                    blocked = _sample(f, xs, ys)
+                    oracle = np.stack([f(xs, float(y)) for y in ys])
+                assert blocked.tobytes() == oracle.tobytes(), (name, n)
+        with np.errstate(all="ignore"):
+            grid = _sample(pole.eval_float, xs, ys)
+        assert np.isinf(grid).any() and np.isnan(grid).any()
+
 def test_fd_residual_orders():
     uc, Yc = _b0_closures()
     grid = GridSpec((-2.0, 2.0), (-2.0, 2.0), nx=101, ny=101)
