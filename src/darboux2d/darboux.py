@@ -16,6 +16,20 @@ Given a nonconstant B solving the closure system, this module produces
 Everything here is exact rational-function algebra, written as the formulas
 read: `RatFn` keeps the powers of B's numerator and denominator and of
 |grad B|^2 as factors, so terms meet on shared denominators by themselves.
+
+With z = x + iy, R2 + i R1 = B_zz/B_z.  For a rational family
+B = Re(mu P)/D with D = |P|^2 + C this is the pole form
+
+    R2 + i R1 = P''/P' - 2 P' conj(P)/D        (`families.closed_R`),
+
+since B_z = P' (mu C - conj(mu) conj(P)^2)/(2 D^2) has an antiholomorphic
+middle factor.  The paper's quotient above keeps that factor: its
+|grad B|^2 = |P'|^2 |mu C - conj(mu) conj(P)^2|^2 / D^4, and with no gcd
+taken the degree-4 deg P factor stays in every denominator built from
+`R_coeffs`.  The `transform:*` targets therefore certify the pole form
+against `R_coeffs(B)` once per instance and run their seeds on it
+(`transform_solution(B, seed, R=...)`).
+
 The only numeric piece is the h <-> u bridge
 (u = -h_xx - h_yy + h_x^2 + h_y^2), which exists to cross-check the
 rational pipeline pointwise: `u_from_h` takes the four partials of h as
@@ -83,13 +97,18 @@ def _apply_LD_with(
     return first, second
 
 
-def transform_solution(B: RatFn, seed: HarmonicPair) -> TransformOutput:
+def transform_solution(
+    B: RatFn, seed: HarmonicPair, R: tuple[RatFn, RatFn] | None = None
+) -> TransformOutput:
     """Transform a seed pair into a solution of the new equation.
 
     The seed system is enforced by the `HarmonicPair` type itself, so any
-    value that reaches this function already satisfies it exactly.
+    value that reaches this function already satisfies it exactly.  ``R``
+    is the pair (R1, R2) to use, by default ``R_coeffs(B)``; a caller that
+    passes another form of it (`families.closed_R`) certifies its equality
+    with ``R_coeffs(B)`` itself.
     """
-    R1, R2 = R_coeffs(B)
+    R1, R2 = R_coeffs(B) if R is None else R
     Yp = RatFn.from_poly(seed.Y)
     Qp = RatFn.from_poly(seed.Q)
     Y_tilde = R1 * Yp - Yp.diff("y") + R2 * Qp

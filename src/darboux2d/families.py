@@ -12,8 +12,10 @@ matching the two Moutard-derived potentials of Taimanov and Tsarev ship as
 named presets.
 
 Every rational family is B = Re(mu P)/(|P|^2 + C), where the pole polynomial
-P(z) = prod (z - z_i)^m_i has the family's poles as its roots; one
-constructor, `_pole_B`, builds all four.  A dipole weight (p_i, q_i) at a
+P(z) = prod (z - z_i)^m_i has the family's poles as its roots, laid out
+once per family in `_ROOT_LAYOUT`; one constructor, `_pole_B`, builds all
+four, and `closed_R` writes the first-order coefficients of the transform
+in pole form from the same P.  A dipole weight (p_i, q_i) at a
 simple root fixes conj(mu) = (p_i + i q_i) P'(z_i).  B2's weights are picked
 in the basis `laplace_constrained_numerator` solves, with `_weights_in_span`
 for a full weight vector.  B0, B1 and B3 then check exact agreement with
@@ -90,6 +92,13 @@ def _require_nonzero_weight(p: Fraction, q: Fraction) -> None:
         raise ValueError("weight vector (p, q) must be nonzero")
 
 
+def _need(params: Mapping[str, Scalar], *keys: str) -> list[Fraction]:
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise ValueError(f"missing parameter(s): {', '.join(missing)}")
+    return [as_fraction(params[k]) for k in keys]
+
+
 def _weights_in_span(
     basis: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]
 ) -> tuple[Fraction, ...]:
@@ -119,6 +128,53 @@ def _cmul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
+_ORIGIN = (Fraction(0), Fraction(0))
+
+# family tag -> the roots of its pole polynomial P as ((x key, y key), m),
+# the keys naming the root's coordinates in the family's parameters; None
+# is the origin
+_ROOT_LAYOUT = {
+    "B0": ((("x0", "y0"), 1),),
+    "B1": ((("x0", "y0"), 1), (("x1", "y1"), 1)),
+    "B2": ((None, 1), (("x1", "y1"), 1), (("x2", "y2"), 1)),
+    "B3": ((None, 3), (("x1", "y1"), 1)),
+}
+
+
+def _roots(family_tag: str, params: Mapping[str, Scalar]) -> tuple:
+    """The roots ((x_i, y_i), m_i) of the family's pole polynomial P."""
+    if family_tag not in _ROOT_LAYOUT:
+        raise ValueError(f"unknown family tag {family_tag!r}")
+    return tuple((_ORIGIN if keys is None else tuple(_need(params, *keys)), m)
+                 for keys, m in _ROOT_LAYOUT[family_tag])
+
+
+def _pole_coeffs(roots) -> list[tuple[Fraction, Fraction]]:
+    """Coefficients a_k of P(z) = prod (z - z_i)^m_i = sum a_k z^k, lowest
+    degree first, each a Gaussian rational (real, imaginary)."""
+    coeffs = [(Fraction(1), Fraction(0))]
+    for (x, y), m in roots:
+        for _ in range(m):
+            shifted = [_cmul(a, (-x, -y)) for a in coeffs] + [(0, 0)]
+            coeffs = [(a[0] + b[0], a[1] + b[1])
+                      for a, b in zip([(0, 0), *coeffs], shifted)]
+    return coeffs
+
+
+def _dz(coeffs: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
+    """Coefficients of P' from those of P, in the same order."""
+    return [(k * re, k * im) for k, (re, im) in enumerate(coeffs)][1:]
+
+
+def _re_im(coeffs: list[tuple[Fraction, Fraction]]) -> tuple[BiPoly, BiPoly]:
+    """(Re, Im) of sum a_k z^k, z = x + iy, as polynomials in x and y."""
+    re = im = ZERO
+    for (a, b), pair in zip(coeffs, harmonic_basis(len(coeffs) - 1)):
+        re = re + a * pair.Y - b * pair.Q
+        im = im + a * pair.Q + b * pair.Y
+    return re, im
+
+
 def _pole_B(roots, weights, C: Fraction) -> RatFn:
     """B = Re(mu P)/(|P|^2 + C) with P(z) = prod (z - z_i)^m_i, z = x + iy.
 
@@ -141,18 +197,7 @@ def _pole_B(roots, weights, C: Fraction) -> RatFn:
             "dipole weights fix different multipliers mu: the pole sum is not harmonic"
         )
     ((c, d),) = conj_mus
-
-    # coefficients a_k of P(z) = sum a_k z^k, lowest degree first
-    coeffs = [(Fraction(1), Fraction(0))]
-    for (x, y), m in roots:
-        for _ in range(m):
-            shifted = [_cmul(a, (-x, -y)) for a in coeffs] + [(0, 0)]
-            coeffs = [(a[0] + b[0], a[1] + b[1])
-                      for a, b in zip([(0, 0), *coeffs], shifted)]
-    re_P = im_P = ZERO
-    for (a, b), pair in zip(coeffs, harmonic_basis(len(coeffs) - 1)):
-        re_P = re_P + a * pair.Y - b * pair.Q
-        im_P = im_P + a * pair.Q + b * pair.Y
+    re_P, im_P = _re_im(_pole_coeffs(roots))
     # mu = c - id, so Re(mu P) = c Re P + d Im P
     return RatFn(c * re_P + d * im_P, re_P * re_P + im_P * im_P + C)
 
@@ -167,7 +212,7 @@ def build_B0(p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, C: Scalar) -> RatFn
     p0, q0, x0, y0, C = map(as_fraction, (p0, q0, x0, y0, C))
     _require_nonzero_weight(p0, q0)
     _require_positive_C(C)
-    B = _pole_B((((x0, y0), 1),), {0: (p0, q0)}, C)
+    B = _pole_B(_roots("B0", {"x0": x0, "y0": y0}), {0: (p0, q0)}, C)
     explicit = p0 * (X - x0) + q0 * (Y - y0)
     if B.num != explicit:
         raise ArithmeticError("one-pole numerator disagrees with the explicit linear form")
@@ -183,7 +228,7 @@ def build_B1(
     _require_positive_C(C)
     if (x0, y0) == (x1, y1):
         raise ValueError("poles must be pairwise distinct")
-    B = _pole_B((((x0, y0), 1), ((x1, y1), 1)), {0: (p0, q0)}, C)
+    B = _pole_B(_roots("B1", {"x0": x0, "y0": y0, "x1": x1, "y1": y1}), {0: (p0, q0)}, C)
 
     # independent rendering of the same numerator, straight from the closed form
     d1 = p0 * (x0 - x1) - q0 * (y0 - y1)
@@ -216,8 +261,8 @@ def build_B2(
     """
     x1, y1, x2, y2, C = map(as_fraction, (x1, y1, x2, y2, C))
     _require_positive_C(C)
-    poles = ((Fraction(0), Fraction(0)), (x1, y1), (x2, y2))
-    basis = laplace_constrained_numerator(poles)
+    roots = _roots("B2", {"x1": x1, "y1": y1, "x2": x2, "y2": y2})
+    basis = laplace_constrained_numerator(tuple(pole for pole, _ in roots))
     if len(basis) != 2:
         raise ValueError(
             f"pole configuration is degenerate: solution space has dimension {len(basis)}"
@@ -233,7 +278,7 @@ def build_B2(
     if all(v == 0 for v in flat):
         raise ValueError("weight vector is zero")
     weights = {i: (flat[2 * i], flat[2 * i + 1]) for i in range(3)}
-    return _pole_B(tuple((pole, 1) for pole in poles), weights, C)
+    return _pole_B(roots, weights, C)
 
 
 def _m_constants(x1: Fraction, y1: Fraction) -> dict[str, Fraction]:
@@ -257,7 +302,7 @@ def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> RatFn
     _require_positive_C(C)
     if (x1, y1) == (0, 0):
         raise ValueError("free pole must differ from the origin")
-    B = _pole_B((((Fraction(0), Fraction(0)), 3), ((x1, y1), 1)), {1: (p1, q1)}, C)
+    B = _pole_B(_roots("B3", {"x1": x1, "y1": y1}), {1: (p1, q1)}, C)
 
     m = _m_constants(x1, y1)
     m1, m2, m3, m4 = m["m1"], m["m2"], m["m3"], m["m4"]
@@ -275,13 +320,6 @@ def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> RatFn
 # ---------------------------------------------------------------------------
 # closed-form potentials
 # ---------------------------------------------------------------------------
-
-
-def _need(params: Mapping[str, Scalar], *keys: str) -> list[Fraction]:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ValueError(f"missing parameter(s): {', '.join(missing)}")
-    return [as_fraction(params[k]) for k in keys]
 
 
 def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPotential:
@@ -354,6 +392,39 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         return ClosedPotential(u=RatFn(num, den) / den, constants=_m_constants(x1, y1))
 
     raise ValueError(f"unknown family tag {family_tag!r}")
+
+
+def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatFn]:
+    """The first-order coefficients (R1, R2) of a rational family, in pole form.
+
+    R2 + i R1 = B_zz/B_z.  With B = Re(mu P)/D and D = |P|^2 + C,
+    B_z = P' (mu C - conj(mu) conj(P)^2)/(2 D^2), whose middle factor is
+    antiholomorphic, so R2 + i R1 = P''/P' - 2 P' conj(P)/D: neither mu nor
+    |grad B|^2 appears.  With P = e + if, P' = a + ib and P'' = c + id,
+
+        R2 = (ac + bd)/(a^2 + b^2) - 2 (ae + bf)/D,
+        R1 = (ad - bc)/(a^2 + b^2) - 2 (be - af)/D.
+
+    The first terms are left out when P' is constant.  D is built as in
+    `_pole_B`, so it is the very factor B's denominator is.  Like
+    `closed_potential`, this is not derived by differentiating B; the
+    `transform:*` targets certify it against `darboux.R_coeffs(B)`.
+    """
+    (C,) = _need(params, "C")
+    _require_positive_C(C)
+    coeffs = _pole_coeffs(_roots(family_tag, params))
+    slopes = _dz(coeffs)
+    e, f = _re_im(coeffs)
+    a, b = _re_im(slopes)
+    D = e * e + f * f + C
+    R1 = RatFn(-2 * (b * e - a * f), D)
+    R2 = RatFn(-2 * (a * e + b * f), D)
+    if len(slopes) > 1:
+        c, d = _re_im(_dz(slopes))
+        g = a * a + b * b
+        R1 = RatFn(a * d - b * c, g) + R1
+        R2 = RatFn(a * c + b * d, g) + R2
+    return R1, R2
 
 
 # ---------------------------------------------------------------------------

@@ -513,7 +513,8 @@ class RatFn:
     Each factor ``f`` is a nonzero polynomial and each exponent ``e`` a
     nonzero integer; a negative exponent puts its factor in the denominator.
     Every denominator in this package is a product of powers of a few
-    polynomials (``B.den``, ``B.num`` and the numerator of ``|grad B|^2``),
+    polynomials (``B.den``, ``B.num`` and the numerator of ``|grad B|^2``,
+    or ``|P'|^2`` for the pole form of R),
     so the algebra tracks those powers instead of cross-multiplying:
 
       * ``RatFn(num, den)`` makes ``den`` one factor (a unit ``den`` none);

@@ -1,6 +1,7 @@
 """Family builder tests."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from darboux2d import families
-from darboux2d.darboux import potential_from_B
+from darboux2d.darboux import R_coeffs, potential_from_B
 from darboux2d.families import (
     DEFAULT_PARAMS,
     FAMILY_KEYS,
@@ -21,8 +22,10 @@ from darboux2d.families import (
     build_preset,
     build_tanh,
     closed_potential,
+    closed_R,
 )
-from darboux2d.polyrat import X, Y, RatFn, laplacian
+from darboux2d.polyrat import ONE, X, Y, ZERO, RatFn, laplacian
+from darboux2d.verify import _draw_params, _family_instance
 
 
 def test_b0_canonical_instance():
@@ -241,3 +244,61 @@ def test_closed_potential_shares_the_pipeline_denominator():
         residual = potential_from_B(build_family(tag, params).B) - u
         assert residual.is_zero()
         assert sum(-e * f.total_degree() for f, e in residual.factors if e < 0) == degree
+
+
+def _R_differs(R, B) -> bool:
+    return not all((r - r_B).is_zero() for r, r_B in zip(R, R_coeffs(B)))
+
+
+@pytest.mark.parametrize("key", sorted(FAMILY_KEYS))
+def test_closed_R_is_the_papers_R_on_the_suite_instance(key):
+    sol = _family_instance(key)
+    params = sol.params
+    assert not _R_differs(closed_R(sol.family_tag, params), sol.B)
+
+    # negative controls: the last root moved by 1/1000, C + 1
+    (x_key, _), _ = families._ROOT_LAYOUT[sol.family_tag][-1]
+    shifted = {**params, x_key: Fraction(params[x_key]) + Fraction(1, 1000)}
+    assert _R_differs(closed_R(sol.family_tag, shifted), sol.B)
+    lifted = {**params, "C": Fraction(params["C"]) + 1}
+    assert _R_differs(closed_R(sol.family_tag, lifted), sol.B)
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILY_KEYS.values()))
+def test_closed_R_is_the_papers_R_on_seeded_draws(tag):
+    rng = random.Random(f"closed-R:{tag}")
+    for _ in range(3):
+        params = _draw_params(tag, rng)
+        assert not _R_differs(closed_R(tag, params), build_family(tag, params).B)
+
+
+def _cmul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _cquotient(n, m):
+    """(Re, Im) of n/m for (Re, Im) pairs of polynomials."""
+    top = _cmul(n, (m[0], -m[1]))
+    den = m[0] * m[0] + m[1] * m[1]
+    return RatFn(top[0], den), RatFn(top[1], den)
+
+
+@pytest.mark.parametrize("key", ["b1", "b2", "b3"])
+def test_closed_R_splits_into_its_two_pole_terms(key):
+    # P multiplied out as (Re, Im) in x and y; a holomorphic P has P' = P_x
+    sol = _family_instance(key)
+    P = (ONE, ZERO)
+    for (x, y), m in families._roots(sol.family_tag, sol.params):
+        for _ in range(m):
+            P = _cmul(P, (X - x, Y - y))
+    dP = (P[0].diff("x"), P[1].diff("x"))
+    ddP = (dP[0].diff("x"), dP[1].diff("x"))
+    re_q, im_q = _cquotient(ddP, dP)
+    R1, R2 = closed_R(sol.family_tag, sol.params)
+    # R2 + i R1 - P''/P' = -2 P' conj(P)/D
+    top = _cmul(dP, (P[0], -P[1]))
+    D = sol.B.den
+    assert (R2 - re_q - RatFn(-2 * top[0], D)).is_zero()
+    assert (R1 - im_q - RatFn(-2 * top[1], D)).is_zero()
+    # negative control: the P''/P' term dropped
+    assert _R_differs((R1 - im_q, R2 - re_q), sol.B)

@@ -305,6 +305,22 @@ def test_transform_target_fails_on_broken_operator(monkeypatch):
     assert rep.verdict == "fail"
 
 
+def test_guard_transform_fails_on_a_perturbed_closed_R(monkeypatch):
+    # the seeds run on the pole form of R; its one zero test against the
+    # paper's R joins every case, so a wrong pole form fails all eight
+    (rep,) = run_suite(["transform:b1"], 7)
+    assert rep.verdict == "pass"
+    real = verify.closed_R
+
+    def perturbed(tag, params):
+        return real(tag, {**params, "C": params["C"] + 1})
+
+    monkeypatch.setattr(verify, "closed_R", perturbed)
+    (rep,) = run_suite(["transform:b1"], 7)
+    assert rep.verdict == "fail"
+    assert [c["verdict"] for c in rep.detail["cases"]] == ["fail"] * 8
+
+
 def test_tsarev2_potential_fails_on_a_shifted_pole(monkeypatch):
     # the target compares the exact pipeline with the surd-valued closed
     # form; moving one pole by 1e-6 must show at the 1e-9 tolerance
