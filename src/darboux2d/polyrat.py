@@ -20,15 +20,16 @@ degree descending, then x-exponent descending) so that the text form of a
 polynomial is canonical.
 
 Products multiply the integer terms either pair by pair (schoolbook, for
-small or sparse operands) or by Kronecker substitution (for dense ones):
-each operand becomes one big integer with a fixed-width slot per monomial,
-CPython multiplies the two once, and the slots of the product are read
-back.  A cost model over term counts, slot fill and coefficient bits picks
-the path (:func:`_kronecker_pays`); both give the same nonzero terms.  The
-product's denominator is the product of the two, reduced once.  Term order
-in a polynomial is not part of its value: ``eval_float`` sums in sorted key
-order, so equal polynomials evaluate to the same float whichever path or
-insertion order built them.
+small or sparse operands) or by Kronecker substitution (for dense ones).
+Both key ``x^i y^j`` by the integer ``i*width + j``, ``width`` one more than
+the product's y-degree: the schoolbook adds keys, and Kronecker packs each
+operand into one big integer with the key as slot index, multiplies the two
+once, and reads back the product's slots.  A cost model over term counts,
+slot fill and coefficient bits picks the path (:func:`_kronecker_pays`);
+both give the same nonzero terms.  The product's denominator is the
+product of the two, reduced once.  Term order in a polynomial is not part
+of its value: ``eval_float`` sums in sorted key order, so equal polynomials
+evaluate to the same float whichever path or insertion order built them.
 
 A global exponent cap (default 256, overridable through the environment
 variable ``DARBOUX_EXP_CAP``) bounds intermediate blow-up: a product whose
@@ -343,11 +344,10 @@ def _coerce_poly(value) -> "BiPoly":
 def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
     """Sparse product of integer terms; the nonzero terms of the product.
 
-    The product takes one of two paths, which agree on the nonzero terms
-    (zeros are dropped here):
+    The product takes one of two paths, which agree on the nonzero terms:
 
       * schoolbook (:func:`_mul_schoolbook`): one dict update per pair of
-        terms; the path for small or sparse operands, and the test oracle;
+        terms on packed integer keys; the path for small or sparse operands;
       * Kronecker substitution (:func:`_mul_kronecker`): each operand is
         packed into one integer, the two are multiplied once by CPython's
         big-int multiply, and the product is unpacked through bytes; the
@@ -368,24 +368,31 @@ def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
     _check_cap(((ext_a[0] + ext_b[0], 0), (0, ext_a[1] + ext_b[1])))
     if len(a) * len(b) >= _KRONECKER_MIN_PAIRS and _kronecker_pays(len(a), len(b), ext_a, ext_b):
         return _mul_kronecker(a, b, ext_a, ext_b)
-    return {key: val for key, val in _mul_schoolbook(a, b).items() if val}
+    return _mul_schoolbook(a, b, ext_a, ext_b)
 
 
-def _mul_schoolbook(outer: IntTerms, inner: IntTerms) -> dict[Exponent, int]:
-    """Integer product, one pair of terms at a time.
+def _mul_schoolbook(
+    outer: IntTerms, inner: IntTerms, ext_outer: Extent, ext_inner: Extent
+) -> dict[Exponent, int]:
+    """Integer product, one pair of terms at a time, on packed keys.
 
-    Coefficients that cancel stay in as zeros; :func:`_mul_terms` drops them.
+    Keys are the ints ``i*width + j`` (the slots of :func:`_mul_kronecker`),
+    so a pair adds two ints instead of hashing a new tuple; ``j1 + j2 <
+    width``, so one ``divmod`` splits a key back, and zeros drop out there.
     """
-    acc: dict[Exponent, int] = {}
+    width = ext_outer[1] + ext_inner[1] + 1
+    packed = [(i * width + j, c) for (i, j), c in inner.items()]
+    acc: dict[int, int] = {}
     get = acc.get
     for (i1, j1), c1 in outer.items():
-        for (i2, j2), c2 in inner.items():
-            key = (i1 + i2, j1 + j2)
+        base = i1 * width + j1
+        for k2, c2 in packed:
+            key = base + k2
             acc[key] = get(key, 0) + c1 * c2
-    return acc
+    return {divmod(key, width): val for key, val in acc.items() if val}
 
 
-# The cost model below never picks Kronecker under about 400 pairs of terms
+# The cost model below never picks Kronecker under about 750 pairs of terms
 # on recorded operands; under this floor it is not evaluated at all.
 _KRONECKER_MIN_PAIRS = 256
 # CPython multiplies big ints by Karatsuba above this many 30-bit digits.
@@ -414,9 +421,11 @@ def _kronecker_pays(n_outer: int, n_inner: int, ext_outer: Extent, ext_inner: Ex
     Both costs are predicted in nanoseconds, with constants fitted by least
     squares on about 2,000 operand pairs recorded from the ``transform``,
     ``eq12`` and ``potential`` targets (CPython 3.11, x86-64).  Schoolbook
-    pays per pair of terms, more for multi-digit coefficients.  Kronecker
-    pays per term packed, per product slot unpacked, and for one big-int
-    multiply of the packed operands.  A sparse operand packs into a long
+    pays per pair of terms, more for multi-digit coefficients; that fit is
+    scaled by 0.7 for the packed keys, which takes about 4% off the time of
+    the recorded products of the seed-7 suite.  Kronecker pays per term
+    packed, per product slot unpacked, and for one big-int multiply of the
+    packed operands.  A sparse operand packs into a long
     integer of mostly empty slots, so lopsided and sparse products (a
     thousand-term operand times a twenty-term one, say) stay on the
     schoolbook path.
@@ -434,7 +443,7 @@ def _kronecker_pays(n_outer: int, n_inner: int, ext_outer: Extent, ext_inner: Ex
     kronecker = (
         1900 * (n_outer + n_inner) + (xo + xi + 1) * width * (96 + 4.9 * digits) + big_mul
     )
-    pair = 250 + 3.7 * (mo.bit_length() / 30 + 1) * (mi.bit_length() / 30 + 1)
+    pair = 175 + 2.6 * (mo.bit_length() / 30 + 1) * (mi.bit_length() / 30 + 1)
     return kronecker < n_outer * n_inner * pair
 
 

@@ -159,25 +159,26 @@ def check_eq12(B: RatFn) -> ResidualReport:
     Each residual is plain rational-function algebra in B and its
     derivatives.  `RatFn` keeps B's denominator as a factor, so every term
     of a residual carries the same power of it and the sums need no
-    cross-multiplication.
+    cross-multiplication.  ``G = |grad B|^2``, ``B G``, ``B B_xy`` and
+    ``B delta`` (``delta = B_xx - B_yy``) are formed once for both residuals,
+    13 polynomial products instead of 18 for the two written out in full:
+        e1 = B G lap_x - (2 B_y (B B_xy) + B_x (G + B delta)) lap
+        e2 = B G lap_y - (2 B_x (B B_xy) + B_y (G - B delta)) lap
+    Each term keeps its written-out factor exponents: same ``poly``, same report.
     """
     Bx = B.diff("x")
     By = B.diff("y")
     if Bx.is_zero() and By.is_zero():
         raise ValueError("the closure system is only posed for nonconstant B")
     Bxx = Bx.diff("x")
-    Bxy = Bx.diff("y")
     Byy = By.diff("y")
     lap = Bxx + Byy
-    delta = Bxx - Byy
-    grad2 = Bx * Bx + By * By
-
-    def residual(first: RatFn, second: RatFn, sign: int, lap_d: RatFn) -> RatFn:
-        bracket = 2 * (B * first * Bxy) + sign * (B * second * delta) + second * grad2
-        return B * grad2 * lap_d - bracket * lap
-
-    e1 = residual(By, Bx, 1, lap.diff("x"))
-    e2 = residual(Bx, By, -1, lap.diff("y"))
+    G = Bx * Bx + By * By
+    BG = B * G
+    BBxy = B * Bx.diff("y")
+    Bdelta = B * (Bxx - Byy)
+    e1 = BG * lap.diff("x") - (2 * (By * BBxy) + Bx * (G + Bdelta)) * lap
+    e2 = BG * lap.diff("y") - (2 * (Bx * BBxy) + By * (G - Bdelta)) * lap
     return _exact_report("eq12", [e1, e2])
 
 

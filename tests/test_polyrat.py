@@ -437,11 +437,13 @@ def test_ratfn_matches_quotient_rule_oracle(program):
         oracles.append((n, d))
 
 
-# -- Kronecker-substitution multiply ----------------------------------------
+# -- the two multiply paths ---------------------------------------------------
 #
-# `_mul_schoolbook` (one dict update per pair of terms) is the oracle: the
-# Kronecker path must return the same nonzero terms.  Term order is free;
-# `eval_float` sums in sorted key order.
+# Both src paths key terms by packed integers, so neither is an independent
+# oracle for the other.  `_naive_product` (tuple keys, one dict update per
+# pair of terms) is: the schoolbook and the Kronecker path must each return
+# its nonzero terms.  Term order is free; `eval_float` sums in sorted key
+# order.
 
 _small_ints = st.integers(min_value=-9, max_value=9).filter(bool)
 _huge_ints = st.builds(
@@ -497,8 +499,23 @@ def _kronecker(outer, inner):
     return _mul_kronecker(outer, inner, _extent(outer), _extent(inner))
 
 
+def _schoolbook(outer, inner):
+    return _mul_schoolbook(outer, inner, _extent(outer), _extent(inner))
+
+
+def _naive_product(a: dict, b: dict) -> dict:
+    """Oracle: the nonzero terms of the product, summed on ``(i, j)`` keys."""
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: val for key, val in out.items() if val}
+
+
 def _assert_paths_agree(outer, inner):
-    oracle = {key: val for key, val in _mul_schoolbook(outer, inner).items() if val}
+    oracle = _naive_product(outer, inner)
+    assert _schoolbook(outer, inner) == oracle
     assert _kronecker(outer, inner) == oracle
 
 
@@ -525,6 +542,72 @@ def test_kronecker_matches_schoolbook_under_cancellation(pair):
 
 
 @st.composite
+def row_edges(draw):
+    """Operands with terms at their top y-degree and at y = 0 of the next
+    x-row, so the product fills the adjacent packed keys
+    ``i*width + width - 1`` and ``(i + 1)*width``."""
+    pair = []
+    for _ in range(2):
+        dy = draw(st.integers(0, 6))
+        rows = draw(st.integers(1, 5))
+        coeff = draw(st.sampled_from([_small_ints, _huge_ints]))
+        keys = {(i, dy) for i in range(rows)} | {(i + 1, 0) for i in range(rows)}
+        keys |= set(draw(st.lists(st.tuples(st.integers(0, rows), st.integers(0, dy)))))
+        pair.append({key: draw(coeff) for key in keys})
+    return pair
+
+
+@given(row_edges())
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+def test_both_paths_match_the_naive_product_at_row_edges(pair):
+    outer, inner = _ordered(*pair)
+    width = _extent(outer)[1] + _extent(inner)[1] + 1
+    product = _naive_product(outer, inner)
+    # y-degrees that sum to exactly width - 1 next to a y = 0 term
+    assert any(j == width - 1 for _, j in product) and any(j == 0 for _, j in product)
+    _assert_paths_agree(outer, inner)
+
+
+@st.composite
+def one_variable(draw, var):
+    """A term dict in ``x`` alone or in ``y`` alone."""
+    exps = draw(st.lists(st.integers(0, 30), min_size=1, max_size=20, unique=True))
+    coeff = draw(st.sampled_from([_small_ints, _huge_ints]))
+    return {((e, 0) if var == "x" else (0, e)): draw(coeff) for e in exps}
+
+
+@given(
+    st.sampled_from(["x", "y"]).flatmap(one_variable),
+    st.sampled_from(["x", "y"]).flatmap(one_variable),
+)
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+def test_both_paths_match_the_naive_product_in_one_variable(a, b):
+    # two x-only operands pack with width == 1: the key is the x-exponent
+    _assert_paths_agree(*_ordered(a, b))
+
+
+@st.composite
+def far_apart(draw):
+    """Sparse term dicts with exponents in the thousands."""
+    keys = st.tuples(st.integers(0, 4000), st.integers(0, 4000))
+    coeff = st.one_of(_small_ints, _huge_ints)
+    return draw(st.dictionaries(keys, coeff, min_size=1, max_size=12))
+
+
+@given(far_apart(), far_apart())
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+def test_schoolbook_matches_the_naive_product_on_sparse_high_exponents(a, b):
+    # the Kronecker path would pack millions of empty slots here, and the
+    # cost model never picks it
+    outer, inner = _ordered(a, b)
+    assert not _pays(outer, inner)
+    assert _schoolbook(outer, inner) == _naive_product(outer, inner)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DARBOUX_EXP_CAP", "8000")
+        assert (BiPoly(outer) * BiPoly(inner)).terms == _naive_product(outer, inner)
+
+
+@st.composite
 def fraction_polys(draw):
     terms = draw(int_terms(max_exp=14, max_terms=100))
     dens = draw(st.sampled_from([st.just(1), st.integers(1, 12), st.integers(1, 2**40)]))
@@ -532,13 +615,7 @@ def fraction_polys(draw):
 
 
 def _fraction_oracle(a: BiPoly, b: BiPoly) -> dict:
-    big, small = (a, b) if a.n_terms >= b.n_terms else (b, a)
-    out: dict = {}
-    for (i1, j1), c1 in _fractions(big).items():
-        for (i2, j2), c2 in _fractions(small).items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {key: val for key, val in out.items() if val}
+    return _naive_product(_fractions(a), _fractions(b))
 
 
 @given(fraction_polys(), fraction_polys())

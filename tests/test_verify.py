@@ -16,6 +16,7 @@ from darboux2d.families import (
     DEFAULT_PARAMS,
     ClosedPotential,
     build_family,
+    build_preset,
     closed_potential,
 )
 from darboux2d.harmonic import harmonic_basis
@@ -101,6 +102,46 @@ def test_check_eq12_negative_control_b0_plus_x_squared():
     B = build_family("B0", B0_PARAMS).B
     assert check_eq12(B).passed
     assert not check_eq12(B + X * X).passed
+
+
+def _eq12_written_out(B: RatFn) -> list[RatFn]:
+    """The two closure-system residuals, every product written out."""
+    Bx, By = B.diff("x"), B.diff("y")
+    Bxx, Bxy, Byy = Bx.diff("x"), Bx.diff("y"), By.diff("y")
+    lap, delta, grad2 = Bxx + Byy, Bxx - Byy, Bx * Bx + By * By
+    e1 = B * grad2 * lap.diff("x") - (
+        2 * (B * By * Bxy) + B * Bx * delta + Bx * grad2
+    ) * lap
+    e2 = B * grad2 * lap.diff("y") - (
+        2 * (B * Bx * Bxy) - B * By * delta + By * grad2
+    ) * lap
+    return [e1, e2]
+
+
+@pytest.mark.parametrize(
+    "B, counts",
+    [
+        (build_preset("tsarev-1").B, [(978, 43), (980, 43)]),
+        (build_family("B0", DEFAULT_PARAMS["B0"]).B, [(45, 19), (44, 19)]),
+    ],
+    ids=["tsarev-1", "B0"],
+)
+def test_guard_eq12_fails_on_squared_denominator(B, counts, monkeypatch):
+    # B.num / B.den^2 solves neither equation; unlike the polynomial controls
+    # above, every product carries a power of the denominator as a factor
+    bad = RatFn(B.num, B.den * B.den)
+    seen = []
+    report = verify._exact_report
+    monkeypatch.setattr(
+        verify, "_exact_report", lambda name, rs: seen.append(rs) or report(name, rs)
+    )
+    rep = check_eq12(bad)
+    assert rep.verdict == "fail"
+    assert [(r["terms"], r["degree"]) for r in rep.detail["residuals"]] == counts
+    # the shared products give the written-out residuals over the same factors
+    (residuals,) = seen
+    for got, want in zip(residuals, _eq12_written_out(bad), strict=True):
+        assert got.poly == want.poly and got.factors == want.factors
 
 
 def _b0_re_z2_transform():
