@@ -34,6 +34,7 @@ from darboux2d.families import (
     build_preset,
     build_tanh,
     closed_potential,
+    closed_R,
 )
 from darboux2d.harmonic import HarmonicPair, harmonic_basis
 from darboux2d.polyrat import (
@@ -241,7 +242,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
                        "transform needs a rational family (b0..b3 or a preset)")
     sol, _ = _rational_instance(family, _coerce_params(family, raw))
     pair = _seed_pair(args.seed_kind, args.degree)
-    out = transform_solution(sol.B, pair)
+    out = transform_solution(sol.B, pair, R=closed_R(sol.family_tag, sol.params))
     report = check_schrodinger(out.Y_tilde, potential_from_B(sol.B))
     if args.format == "json":
         payload = {
@@ -292,6 +293,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     y_lo, y_hi, ny = _parse_axis(args.y)
     xs = [x_lo + (x_hi - x_lo) * i / (nx - 1) if nx > 1 else x_lo for i in range(nx)]
     ys = [y_lo + (y_hi - y_lo) * j / (ny - 1) if ny > 1 else y_lo for j in range(ny)]
+    if not all(map(math.isfinite, xs + ys)):
+        raise CliError("invalid-grid", "every grid point must be a finite float")
     f = _row_sampler(args.family, args.field, raw, xs)
     null = "null" if args.format == "json" else ""
     x_texts = [_float_text(x) for x in xs]

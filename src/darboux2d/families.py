@@ -12,17 +12,17 @@ matching the two Moutard-derived potentials of Taimanov and Tsarev ship as
 named presets.
 
 Every rational family is B = Re(mu P)/(|P|^2 + C), where the pole polynomial
-P(z) = prod (z - z_i)^m_i has the family's poles as its roots, laid out
-once per family in `_ROOT_LAYOUT`; one constructor, `_pole_B`, builds all
-four, and `closed_R` writes the first-order coefficients of the transform
-in pole form from the same P.  A dipole weight (p_i, q_i) at a
-simple root fixes conj(mu) = (p_i + i q_i) P'(z_i).  B2's weights are picked
-in the basis `laplace_constrained_numerator` solves, with `_weights_in_span`
-for a full weight vector.  B0, B1 and B3 then check exact agreement with
-their explicit numerators -- double-entry bookkeeping against transcription
-slips.  A mismatch raises :class:`ArithmeticError`, also under ``python -O``.
-Each builder returns B; :func:`build_family` calls one from a flat parameter
-mapping and keeps that mapping on the instance it returns.
+P(z) = prod (z - z_i)^m_i has the family's poles as its roots.  A family's
+parameters are its poles (`_ROOT_LAYOUT`), its weight (`_WEIGHT_KEYS`) and
+C; `_pole_data` alone checks them, for `build_family`, `closed_potential`
+and `closed_R` alike.  `build_family` builds all four through one
+constructor, `_pole_B`, and `closed_R` writes the transform's first-order
+coefficients in pole form from the same P.  A dipole weight (p_i, q_i) at a
+simple root fixes conj(mu) = (p_i + i q_i) P'(z_i).  B2's weights are
+picked in the basis `laplace_constrained_numerator` solves (`_b2_weights`).
+B0, B1 and B3 check exact agreement with their transcribed numerators --
+double-entry bookkeeping against transcription slips; a mismatch raises
+:class:`ArithmeticError`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -82,16 +82,6 @@ class ClosedPotential:
     constants: dict[str, Fraction] = field(default_factory=dict)
 
 
-def _require_positive_C(C: Fraction) -> None:
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
-
-
-def _require_nonzero_weight(p: Fraction, q: Fraction) -> None:
-    if p == 0 and q == 0:
-        raise ValueError("weight vector (p, q) must be nonzero")
-
-
 def _need(params: Mapping[str, Scalar], *keys: str) -> list[Fraction]:
     missing = [k for k in keys if k not in params]
     if missing:
@@ -140,6 +130,16 @@ _ROOT_LAYOUT = {
     "B3": ((None, 3), (("x1", "y1"), 1)),
 }
 
+# family tag -> (the index in its layout of the simple root that carries
+# the dipole weight (p, q), the weight's keys); B2 instead takes its weights
+# as a choice in the solved basis, which no root index names
+_WEIGHT_KEYS = {
+    "B0": (0, ("p0", "q0")),
+    "B1": (0, ("p0", "q0")),
+    "B2": (None, ("weights_choice",)),
+    "B3": (1, ("p1", "q1")),
+}
+
 
 def _roots(family_tag: str, params: Mapping[str, Scalar]) -> tuple:
     """The roots ((x_i, y_i), m_i) of the family's pole polynomial P."""
@@ -147,6 +147,18 @@ def _roots(family_tag: str, params: Mapping[str, Scalar]) -> tuple:
         raise ValueError(f"unknown family tag {family_tag!r}")
     return tuple((_ORIGIN if keys is None else tuple(_need(params, *keys)), m)
                  for keys, m in _ROOT_LAYOUT[family_tag])
+
+
+def _pole_data(family_tag: str, params: Mapping[str, Scalar]) -> tuple[tuple, Fraction]:
+    """The roots of the family's P and its C, checked: C > 0 and the poles,
+    the pinned origin among them, pairwise distinct."""
+    roots = _roots(family_tag, params)
+    (C,) = _need(params, "C")
+    if C <= 0:
+        raise ValueError(f"C must be positive, got {C}")
+    if len({pole for pole, _ in roots}) != len(roots):
+        raise ValueError("poles must be pairwise distinct")
+    return roots, C
 
 
 def _pole_coeffs(roots) -> list[tuple[Fraction, Fraction]]:
@@ -203,65 +215,39 @@ def _pole_B(roots, weights, C: Fraction) -> RatFn:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# transcribed numerators and B2's weights
 # ---------------------------------------------------------------------------
 
 
-def build_B0(p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, C: Scalar) -> RatFn:
+def _b0_numerator(p0: Fraction, q0: Fraction, roots) -> BiPoly:
     """One-pole family: B = (p0(x-x0) + q0(y-y0)) / ((x-x0)^2 + (y-y0)^2 + C)."""
-    p0, q0, x0, y0, C = map(as_fraction, (p0, q0, x0, y0, C))
-    _require_nonzero_weight(p0, q0)
-    _require_positive_C(C)
-    B = _pole_B(_roots("B0", {"x0": x0, "y0": y0}), {0: (p0, q0)}, C)
-    explicit = p0 * (X - x0) + q0 * (Y - y0)
-    if B.num != explicit:
-        raise ArithmeticError("one-pole numerator disagrees with the explicit linear form")
-    return B
+    (((x0, y0), _),) = roots
+    return p0 * (X - x0) + q0 * (Y - y0)
 
 
-def build_B1(
-    p0: Scalar, q0: Scalar, x0: Scalar, y0: Scalar, x1: Scalar, y1: Scalar, C: Scalar
-) -> RatFn:
-    """Two-pole family B = N/(M + C), weight (p0, q0) at the pole (x0, y0)."""
-    p0, q0, x0, y0, x1, y1, C = map(as_fraction, (p0, q0, x0, y0, x1, y1, C))
-    _require_nonzero_weight(p0, q0)
-    _require_positive_C(C)
-    if (x0, y0) == (x1, y1):
-        raise ValueError("poles must be pairwise distinct")
-    B = _pole_B(_roots("B1", {"x0": x0, "y0": y0, "x1": x1, "y1": y1}), {0: (p0, q0)}, C)
-
-    # independent rendering of the same numerator, straight from the closed form
+def _b1_numerator(p0: Fraction, q0: Fraction, roots) -> BiPoly:
+    """Two-pole family B = N/(M + C), weight (p0, q0) at the pole (x0, y0):
+    an independent rendering of N, straight from the closed form."""
+    ((x0, y0), _), ((x1, y1), _) = roots
     d1 = p0 * (x0 - x1) - q0 * (y0 - y1)
     d2 = p0 * (y0 - y1) + q0 * (x0 - x1)
     s = x0 * x0 - x1 * x1 + y0 * y0 - y1 * y1
     w = x0 * y1 - y0 * x1
     r0 = x0 * x0 + y0 * y0
     r1 = x1 * x1 + y1 * y1
-    explicit = (
+    return (
         d1 * (X**2 - Y**2)
         + 2 * d2 * (X * Y)
         - (p0 * s + 2 * q0 * w) * X
         + (2 * p0 * w - q0 * s) * Y
         - BiPoly.const(p0 * (x0 * r1 - x1 * r0) + q0 * (y0 * r1 - y1 * r0))
     )
-    if B.num != explicit:
-        raise ArithmeticError("two-pole numerator disagrees with its closed form")
-    return B
 
 
-def build_B2(
-    weights_choice, x1: Scalar, y1: Scalar, x2: Scalar, y2: Scalar, C: Scalar
-) -> RatFn:
-    """Three-pole family B = N/(M + C), one pole pinned at the origin.
-
-    ``weights_choice`` is either a pair (a, b) of coordinates in the solved
-    two-dimensional weight basis, or a full six-component weight vector that
-    must lie in that space.  The weights at the three poles must fix one
-    multiplier mu of the pole polynomial, or ArithmeticError is raised.
-    """
-    x1, y1, x2, y2, C = map(as_fraction, (x1, y1, x2, y2, C))
-    _require_positive_C(C)
-    roots = _roots("B2", {"x1": x1, "y1": y1, "x2": x2, "y2": y2})
+def _b2_weights(roots, weights_choice) -> dict[int, tuple[Fraction, Fraction]]:
+    """The weights at the three poles of B2, one pinned at the origin, from a
+    pair (a, b) of coordinates in the solved two-dimensional weight basis or
+    a full six-component weight vector that must lie in that space."""
     basis = laplace_constrained_numerator(tuple(pole for pole, _ in roots))
     if len(basis) != 2:
         raise ValueError(
@@ -277,8 +263,7 @@ def build_B2(
         raise ValueError("weights_choice must have 2 (basis coords) or 6 (full) entries")
     if all(v == 0 for v in flat):
         raise ValueError("weight vector is zero")
-    weights = {i: (flat[2 * i], flat[2 * i + 1]) for i in range(3)}
-    return _pole_B(roots, weights, C)
+    return {i: (flat[2 * i], flat[2 * i + 1]) for i in range(3)}
 
 
 def _m_constants(x1: Fraction, y1: Fraction) -> dict[str, Fraction]:
@@ -290,31 +275,25 @@ def _m_constants(x1: Fraction, y1: Fraction) -> dict[str, Fraction]:
     }
 
 
-def build_B3(p1: Scalar, q1: Scalar, x1: Scalar, y1: Scalar, C: Scalar) -> RatFn:
-    """Confluent family: triple pole at the origin plus one free pole.
-
-    P(z) = z^3 (z - z1), the weight (p1, q1) sits at z1, and the numerator is
-    cross-checked against its explicit expanded form in the m-constants; the
-    denominator is (x^2+y^2)^3 ((x-x1)^2+(y-y1)^2) + C.
-    """
-    p1, q1, x1, y1, C = map(as_fraction, (p1, q1, x1, y1, C))
-    _require_nonzero_weight(p1, q1)
-    _require_positive_C(C)
-    if (x1, y1) == (0, 0):
-        raise ValueError("free pole must differ from the origin")
-    B = _pole_B(_roots("B3", {"x1": x1, "y1": y1}), {1: (p1, q1)}, C)
-
-    m = _m_constants(x1, y1)
-    m1, m2, m3, m4 = m["m1"], m["m2"], m["m3"], m["m4"]
-    explicit = (
+def _b3_numerator(p1: Fraction, q1: Fraction, roots) -> BiPoly:
+    """Confluent family, P(z) = z^3 (z - z1) with the weight (p1, q1) at z1:
+    the numerator expanded in the m-constants."""
+    _, ((x1, y1), _) = roots
+    m1, m2, m3, m4 = _m_constants(x1, y1).values()
+    return (
         (m1 * p1 + m2 * q1) * ((X**2 - Y**2) ** 2 - 4 * X**2 * Y**2)
         + 4 * (m1 * q1 - m2 * p1) * (X * Y * (X**2 - Y**2))
         + (m3 * q1 - m4 * p1) * (X * (X**2 - 3 * Y**2))
         + (m4 * q1 + m3 * p1) * (Y * (Y**2 - 3 * X**2))
     )
-    if B.num != explicit:
-        raise ArithmeticError("confluent numerator disagrees with its closed form")
-    return B
+
+
+# family tag -> its transcribed numerator and what a mismatch raises
+_NUMERATORS = {
+    "B0": (_b0_numerator, "one-pole numerator disagrees with the explicit linear form"),
+    "B1": (_b1_numerator, "two-pole numerator disagrees with its closed form"),
+    "B3": (_b3_numerator, "confluent numerator disagrees with its closed form"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +308,14 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
     differentiating B; the exact agreement of the two routes is one of the
     certified checks in `verify`.
     """
+    roots, C = _pole_data(family_tag, params)
     if family_tag == "B0":
-        x0, y0, C = _need(params, "x0", "y0", "C")
-        _require_positive_C(C)
+        (((x0, y0), _),) = roots
         den = (X - x0) ** 2 + (Y - y0) ** 2 + C
         return ClosedPotential(u=RatFn(BiPoly.const(-8 * C), den) / den)
 
     if family_tag == "B1":
-        x0, y0, x1, y1, C = _need(params, "x0", "y0", "x1", "y1", "C")
-        _require_positive_C(C)
-        if (x0, y0) == (x1, y1):
-            raise ValueError("poles must be pairwise distinct")
+        ((x0, y0), _), ((x1, y1), _) = roots
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         num = -32 * C * ((X - cx) ** 2 + (Y - cy) ** 2)
         M = ((X - x0) ** 2 + (Y - y0) ** 2) * ((X - x1) ** 2 + (Y - y1) ** 2)
@@ -347,11 +323,7 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         return ClosedPotential(u=RatFn(num, den) / den)
 
     if family_tag == "B2":
-        x1, y1, x2, y2, C = _need(params, "x1", "y1", "x2", "y2", "C")
-        _require_positive_C(C)
-        poles = ((Fraction(0), Fraction(0)), (x1, y1), (x2, y2))
-        if len(set(poles)) != 3:
-            raise ValueError("poles must be pairwise distinct")
+        _, ((x1, y1), _), ((x2, y2), _) = roots
         k = {
             "k1": x1 + x2,
             "k2": y1 + y2,
@@ -376,22 +348,17 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
         den = M + C
         return ClosedPotential(u=RatFn(-8 * C * G, den) / den, constants=k)
 
-    if family_tag == "B3":
-        x1, y1, C = _need(params, "x1", "y1", "C")
-        _require_positive_C(C)
-        if (x1, y1) == (0, 0):
-            raise ValueError("free pole must differ from the origin")
-        num = (
-            -128
-            * C
-            * (X**2 + Y**2) ** 2
-            * ((X - 3 * x1 / 4) ** 2 + (Y - 3 * y1 / 4) ** 2)
-        )
-        M = (X**2 + Y**2) ** 3 * ((X - x1) ** 2 + (Y - y1) ** 2)
-        den = M + C
-        return ClosedPotential(u=RatFn(num, den) / den, constants=_m_constants(x1, y1))
-
-    raise ValueError(f"unknown family tag {family_tag!r}")
+    # B3
+    _, ((x1, y1), _) = roots
+    num = (
+        -128
+        * C
+        * (X**2 + Y**2) ** 2
+        * ((X - 3 * x1 / 4) ** 2 + (Y - 3 * y1 / 4) ** 2)
+    )
+    M = (X**2 + Y**2) ** 3 * ((X - x1) ** 2 + (Y - y1) ** 2)
+    den = M + C
+    return ClosedPotential(u=RatFn(num, den) / den, constants=_m_constants(x1, y1))
 
 
 def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatFn]:
@@ -410,9 +377,8 @@ def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatF
     `closed_potential`, this is not derived by differentiating B; the
     `transform:*` targets certify it against `darboux.R_coeffs(B)`.
     """
-    (C,) = _need(params, "C")
-    _require_positive_C(C)
-    coeffs = _pole_coeffs(_roots(family_tag, params))
+    roots, C = _pole_data(family_tag, params)
+    coeffs = _pole_coeffs(roots)
     slopes = _dz(coeffs)
     e, f = _re_im(coeffs)
     a, b = _re_im(slopes)
@@ -547,31 +513,34 @@ DEFAULT_PARAMS: dict[str, dict] = {
 }
 
 
-# family tag -> (builder, the keys it takes in argument order)
-_BUILDERS = {
-    "B0": (build_B0, ("p0", "q0", "x0", "y0", "C")),
-    "B1": (build_B1, ("p0", "q0", "x0", "y0", "x1", "y1", "C")),
-    "B2": (build_B2, ("weights_choice", "x1", "y1", "x2", "y2", "C")),
-    "B3": (build_B3, ("p1", "q1", "x1", "y1", "C")),
-}
-
-
 def build_family(family_tag: str, params: Mapping[str, Scalar]) -> RationalSolution:
     """Build B from a flat parameter mapping and record the tag and the params.
 
-    Every key a builder takes is required, except B2's ``weights_choice``,
-    which defaults to (1, 0); any other key is an error.
+    A family takes its weight's keys (`_WEIGHT_KEYS`), its poles' keys
+    (`_ROOT_LAYOUT`) and C.  Every one is required, except B2's
+    ``weights_choice``, which defaults to (1, 0); any other key is an error.
     """
-    if family_tag not in _BUILDERS:
+    if family_tag not in _ROOT_LAYOUT:
         raise ValueError(f"unknown family tag {family_tag!r}")
-    build, keys = _BUILDERS[family_tag]
+    index, weight_keys = _WEIGHT_KEYS[family_tag]
+    pole_keys = (k for pole, _ in _ROOT_LAYOUT[family_tag] if pole for k in pole)
+    keys = (*weight_keys, *pole_keys, "C")
     for key in params:
         if key not in keys:
             raise ValueError(f"unknown parameter {key!r}")
-    if family_tag == "B2":
-        B = build(params.get("weights_choice", (1, 0)), *_need(params, *keys[1:]))
+    if index is None:  # B2: every key but weights_choice is required
+        _need(params, *keys[1:])
+        roots, C = _pole_data(family_tag, params)
+        B = _pole_B(roots, _b2_weights(roots, params.get("weights_choice", (1, 0))), C)
     else:
-        B = build(*_need(params, *keys))
+        p, q, *_ = _need(params, *keys)
+        if p == 0 and q == 0:
+            raise ValueError("weight vector (p, q) must be nonzero")
+        roots, C = _pole_data(family_tag, params)
+        B = _pole_B(roots, {index: (p, q)}, C)
+        numerator, mismatch = _NUMERATORS[family_tag]
+        if B.num != numerator(p, q, roots):
+            raise ArithmeticError(mismatch)
     return RationalSolution(B=B, family_tag=family_tag, params=dict(params))
 
 

@@ -851,7 +851,8 @@ def poly_to_str(p: BiPoly) -> str:
 
 
 def ratfn_to_str(f: RatFn) -> str:
-    """Canonical text ``(num)/(den)``; a unit denominator prints as plain poly."""
-    if f.den == ONE:
+    """Canonical text ``(num)/(den)``; zero, or a unit denominator, prints as
+    a plain poly."""
+    if f.is_zero() or f.den == ONE:
         return poly_to_str(f.num)
     return f"({poly_to_str(f.num)})/({poly_to_str(f.den)})"

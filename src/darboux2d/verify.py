@@ -691,7 +691,7 @@ def _run_dim(key: str, seed: int) -> ResidualReport:
         ok = len(basis) == 2
         if ok and key == "b1":
             # B1 built from (p0, q0) (zero-tested against its transcription
-            # inside build_B1) must have its weights in the span: the solved
+            # inside build_family) must have its weights in the span: the solved
             # vector led by (p0, q0) must fix the same mu at both poles
             # and give B1's numerator
             p0, q0 = _rand_weight(rng)

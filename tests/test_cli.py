@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from darboux2d import cli
 from darboux2d.cli import main
-from darboux2d.darboux import R_coeffs
+from darboux2d.darboux import R_coeffs, transform_solution
 from darboux2d.families import (
     DEFAULT_PARAMS,
     FAMILY_KEYS,
@@ -23,6 +23,7 @@ from darboux2d.families import (
     build_family,
     build_preset,
     closed_potential,
+    closed_R,
 )
 from darboux2d.harmonic import laplace_constrained_numerator
 from darboux2d.polyrat import ONE, X, Y, RatFn, over_one_denominator, ratfn_to_str
@@ -130,6 +131,7 @@ def test_build_coincident_poles_exits_2(capsys):
         ("b1", '{"x0":"1","y0":"2","x1":"1","y1":"2"}'),
         ("b2", '{"x1":"1","y1":"2","x2":"1","y2":"2"}'),
         ("b2", '{"x1":"0","y1":"0"}'),  # a free pole on the pinned origin
+        ("b3", '{"x1":"0","y1":"0"}'),
     ]:
         code, out, err = run_cli(capsys, "build", "--family", family, "--params", params)
         assert (code, out) == (2, "")
@@ -189,9 +191,11 @@ def test_transform_const_seed_is_R2(capsys):
     code, out, _ = run_cli(capsys, "transform", "--family", "b0",
                            "--seed-kind", "const")
     assert code == 0
+    # printed in the pole form of R, which is exactly the paper's R2
     B = build_family("B0", {"p0": 1, "q0": 0, "x0": 0, "y0": 0, "C": 1}).B
-    _, R2 = R_coeffs(B)
+    _, R2 = closed_R("B0", {"x0": 0, "y0": 0, "C": 1})
     assert f"Y_tilde = {ratfn_to_str(R2)}" in out
+    assert (R2 - R_coeffs(B)[1]).is_zero()
     assert "schrodinger: pass" in out
 
 
@@ -219,6 +223,31 @@ def test_transform_text_matches_the_recorded_text(capsys, key):
     code, out, err = run_cli(capsys, *argv, *(["--degree", *degree] if degree else []))
     assert {"exit": code, "stdout": out} == TRANSFORM_TEXTS[key]
     assert err == ""
+
+
+@pytest.mark.parametrize("family", [*sorted(FAMILY_KEYS), *sorted(PRESETS)])
+@pytest.mark.parametrize("kind", ["const", "re", "im"])
+def test_transform_prints_the_transform_on_the_papers_R(capsys, monkeypatch, family, kind):
+    # the command transforms on the pole form of R; its Y~ must be exactly
+    # the one the paper's R_coeffs(B) gives
+    printed = []
+
+    def recording(B, pair, R=None):
+        out = transform_solution(B, pair, R=R)
+        printed.append(out.Y_tilde)
+        return out
+
+    monkeypatch.setattr(cli, "transform_solution", recording)
+    code, out, _ = run_cli(capsys, "transform", "--family", family,
+                           "--seed-kind", kind, "--degree", "3")
+    (Y_tilde,) = printed
+    assert (code, out) == (0, f"Y_tilde = {ratfn_to_str(Y_tilde)}\nschrodinger: pass\n")
+    if family in PRESETS:
+        sol = build_preset(family)
+    else:
+        sol = build_family(FAMILY_KEYS[family], DEFAULT_PARAMS[FAMILY_KEYS[family]])
+    expected = transform_solution(sol.B, cli._seed_pair(kind, 3)).Y_tilde
+    assert (Y_tilde - expected).is_zero()
 
 
 def test_transform_negative_degree_exits_2(capsys):
@@ -308,6 +337,19 @@ def test_grid_single_point_needs_equal_bounds(capsys):
                            "--x", "-2:2:1", "--y", "0:0:1")
     assert code == 2
     assert json.loads(err.strip())["error"] == "invalid-grid"
+
+
+@pytest.mark.parametrize("family", [*sorted(FAMILY_KEYS), *sorted(PRESETS), "tanh"])
+@pytest.mark.parametrize("x, y", [
+    ("0:1e308:3", "0:1:2"),  # the last point overflows to inf
+    ("-inf:inf:3", "0:1:2"),  # the middle point is nan
+    ("0:1:2", "-1e308:1e308:2"),  # the width overflows, on the y axis
+])
+def test_grid_rejects_a_nonfinite_axis_point(capsys, family, x, y):
+    code, out, err = run_cli(capsys, "grid", "--family", family, "--x", x, "--y", y)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid-grid",
+                               "message": "every grid point must be a finite float"}
 
 
 def test_grid_malformed_axis(capsys):

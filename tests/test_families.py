@@ -14,10 +14,6 @@ from darboux2d.families import (
     DEFAULT_PARAMS,
     FAMILY_KEYS,
     PRESETS,
-    build_B0,
-    build_B1,
-    build_B2,
-    build_B3,
     build_family,
     build_preset,
     build_tanh,
@@ -29,7 +25,7 @@ from darboux2d.verify import _draw_params, _family_instance
 
 
 def test_b0_canonical_instance():
-    B = build_B0(1, 0, 0, 0, 1)
+    B = build_family("B0", {"p0": 1, "q0": 0, "x0": 0, "y0": 0, "C": 1}).B
     expected = RatFn(X, X ** 2 + Y ** 2 + 1)
     assert (B - expected).is_zero()
     assert laplacian(B.num).is_zero()
@@ -62,19 +58,21 @@ def test_b1_pipeline_matches_closed_form():
 
 
 def test_b1_numerators_are_harmonic():
-    B = build_B1(3, Fraction(1, 2), 0, 0, 1, -1, Fraction(7, 3))
+    params = {"p0": 3, "q0": Fraction(1, 2), "x0": 0, "y0": 0, "x1": 1, "y1": -1,
+              "C": Fraction(7, 3)}
+    B = build_family("B1", params).B
     assert laplacian(B.num).is_zero()
 
 
 def test_b1_coincident_poles_rejected():
     with pytest.raises(ValueError):
-        build_B1(1, 0, 1, 2, 1, 2, 1)
+        build_family("B1", {"p0": 1, "q0": 0, "x0": 1, "y0": 2, "x1": 1, "y1": 2, "C": 1})
 
 
 def test_b2_weight_choice_does_not_move_potential():
     kw = dict(x1=1, y1=0, x2=0, y2=1, C=1)
-    a = build_B2((1, 0), **kw)
-    b = build_B2((Fraction(1, 3), Fraction(5, 2)), **kw)
+    a = build_family("B2", {**kw, "weights_choice": (1, 0)}).B
+    b = build_family("B2", {**kw, "weights_choice": (Fraction(1, 3), Fraction(5, 2))}).B
     ua = potential_from_B(a)
     ub = potential_from_B(b)
     assert (ua - ub).is_zero()
@@ -95,7 +93,7 @@ def test_b3_origin_potential_vanishes():
 
 
 def test_b3_pipeline_matches_closed_form():
-    u_pipe = potential_from_B(build_B3(1, 0, 1, 1, 1))
+    u_pipe = potential_from_B(build_family("B3", DEFAULT_PARAMS["B3"]).B)
     closed = closed_potential("B3", {"x1": 1, "y1": 1, "C": 1})
     assert (u_pipe - closed.u).is_zero()
     assert set(closed.constants) == {"m1", "m2", "m3", "m4"}
@@ -103,7 +101,25 @@ def test_b3_pipeline_matches_closed_form():
 
 def test_b3_rejects_origin_second_pole():
     with pytest.raises(ValueError):
-        build_B3(1, 0, 0, 0, 1)
+        build_family("B3", {**DEFAULT_PARAMS["B3"], "x1": 0, "y1": 0})
+
+
+@pytest.mark.parametrize("tag, change, message", [
+    pytest.param("B1", {"x1": 0, "y1": 0}, "poles must be pairwise distinct",
+                 id="B1-coincident"),
+    pytest.param("B2", {"x1": 0, "y1": 0}, "poles must be pairwise distinct",
+                 id="B2-origin"),
+    pytest.param("B3", {"x1": 0, "y1": 0}, "poles must be pairwise distinct",
+                 id="B3-origin"),
+    *(pytest.param(tag, {"C": C}, f"C must be positive, got {C}", id=f"{tag}-C{C}")
+      for tag in ("B0", "B1", "B2", "B3") for C in (0, -1)),
+])
+def test_build_and_both_closed_forms_share_one_parameter_check(tag, change, message):
+    params = {**DEFAULT_PARAMS[tag], **change}
+    for route in (build_family, closed_potential, closed_R):
+        with pytest.raises(ValueError) as info:
+            route(tag, params)
+        assert str(info.value) == message
 
 
 def test_family_tags_and_dispatch():
@@ -211,7 +227,7 @@ def _turned_last_weight(roots, weights, C):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: build_B0(1, 0, 0, 0, 1), "one-pole numerator"),
+        (lambda: build_family("B0", DEFAULT_PARAMS["B0"]), "one-pole numerator"),
         (lambda: build_family("B1", DEFAULT_PARAMS["B1"]), "two-pole numerator"),
         (lambda: build_family("B2", DEFAULT_PARAMS["B2"]), "not harmonic"),
         (lambda: build_family("B3", DEFAULT_PARAMS["B3"]), "confluent numerator"),

@@ -362,6 +362,22 @@ def test_guard_transform_fails_on_a_perturbed_closed_R(monkeypatch):
     assert [c["verdict"] for c in rep.detail["cases"]] == ["fail"] * 8
 
 
+@pytest.mark.parametrize("target", ["potential:b0", "potential:b1", "potential:b2",
+                                    "potential:b3", "potential:tsarev-1:b1"])
+def test_guard_potential_fails_on_the_transcription_at_C_plus_1(monkeypatch, target):
+    (rep,) = run_suite([target], 7)
+    assert rep.verdict == "pass"
+    real = verify.closed_potential
+
+    def lifted(tag, params):
+        return real(tag, {**params, "C": params["C"] + 1})
+
+    monkeypatch.setattr(verify, "closed_potential", lifted)
+    (rep,) = run_suite([target], 7)
+    assert rep.verdict == "fail"
+    assert all(c["verdict"] == "fail" for c in rep.detail.get("cases", []))
+
+
 def test_tsarev2_potential_fails_on_a_shifted_pole(monkeypatch):
     # the target compares the exact pipeline with the surd-valued closed
     # form; moving one pole by 1e-6 must show at the 1e-9 tolerance
