@@ -25,6 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from darboux2d.darboux import potential_from_B, transform_solution
 from darboux2d.families import (
     DEFAULT_PARAMS,
@@ -146,12 +148,15 @@ def _float_text(v: float) -> str:
 
 
 def _write_out(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise CliError("invalid-output", f"cannot write --out: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +282,9 @@ def _row_sampler(family: str, field: str, raw: dict, xs: list[float]) -> Callabl
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
         B_s, u = build_tanh(C1, C2)
         f = B_s if field == "B" else u
-        # scalar calls, not one numpy array call: an array moves the last ulps
-        return lambda y: [float(f(x, y)) for x in xs]
+        x_row = np.array(xs)
+        # one array call per row, as `verify.fd_residual` samples the pair
+        return np.errstate(all="ignore")(lambda y: f(x_row, y).tolist())
     sol, closed = _rational_instance(family, _coerce_params(family, raw))
     target = sol.B if field == "B" else closed.u
     # exact rational values at the (exactly representable) grid points, each

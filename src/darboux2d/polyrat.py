@@ -276,15 +276,9 @@ class BiPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x: Scalar | Sequence[Scalar], y: Scalar) -> Fraction | list[Fraction]:
-        """Exact value at a rational point, or along one grid row.
-
-        ``x`` is one scalar, or a list or tuple of them: the points
-        ``(x[k], y)`` of one row, whose values come back as a list (the
-        shape of ``eval_float(x_array, y)``).  Floats are rejected.  The row
-        is evaluated in integers (:meth:`eval_row`), and one ``Fraction`` is
-        built per point, as for a rational function.
-        """
+    def eval(self, x: Scalar, y: Scalar) -> Fraction:
+        """Exact value at one rational point, a row of one for
+        :meth:`eval_row` (which takes whole rows); floats are rejected."""
         return RatFn._of(self, ()).eval(x, y)
 
     def eval_row(self, ps: Sequence[int], q: int, y: Fraction) -> tuple[list[int], int]:
@@ -538,11 +532,11 @@ class RatFn:
     ``poly`` and the factors is attempted (there is no multivariate gcd here,
     on purpose).  Since every factor is nonzero, the function is zero exactly
     when ``poly`` is: that is the exact zero test of :meth:`is_zero` and
-    :func:`ratfn_is_zero`.  ``num`` and ``den`` expand the factors on first
-    use; for ``RatFn(num, den)`` they are the very objects passed in.
+    :func:`ratfn_is_zero`.  ``num`` and ``den`` expand the factors on every
+    read; for ``RatFn(num, den)`` they are the very objects passed in.
     """
 
-    __slots__ = ("poly", "factors", "_num", "_den")
+    __slots__ = ("poly", "factors")
 
     def __init__(self, num: BiPoly | Scalar, den: BiPoly | Scalar | None = None):
         num = _coerce_poly(num)
@@ -558,15 +552,12 @@ class RatFn:
             raise ZeroDivisionError("rational function with zero denominator")
         self.poly = num
         self.factors: Factors = () if den == ONE else ((den, -1),)
-        self._num = num
-        self._den = den
 
     @classmethod
     def _of(cls, poly: BiPoly, factors: Iterable[tuple[BiPoly, int]]) -> "RatFn":
         obj = object.__new__(cls)
         obj.poly = poly
         obj.factors = tuple(factors)
-        obj._num = obj._den = None
         return obj
 
     @classmethod
@@ -578,18 +569,13 @@ class RatFn:
     @property
     def num(self) -> BiPoly:
         """Numerator: ``poly`` times the factors with positive exponents."""
-        if self._num is None:
-            up = _power_product((f, e) for f, e in self.factors if e > 0)
-            self._num = self.poly if up is None else self.poly * up
-        return self._num
+        return _lift(self.poly, [(f, e) for f, e in self.factors if e > 0])
 
     @property
     def den(self) -> BiPoly:
         """Denominator: the factors with negative exponents, expanded."""
-        if self._den is None:
-            down = _power_product((f, -e) for f, e in self.factors if e < 0)
-            self._den = ONE if down is None else down
-        return self._den
+        down = _power_product((f, -e) for f, e in self.factors if e < 0)
+        return ONE if down is None else down
 
     def is_zero(self) -> bool:
         return not self.poly.terms
@@ -694,16 +680,14 @@ class RatFn:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x: Scalar | Sequence[Scalar], y: Scalar) -> Fraction | list[Fraction]:
-        """Exact value at a rational point, or along one grid row.
+    def eval(self, x: Scalar, y: Scalar) -> Fraction:
+        """Exact value at one rational point; floats are rejected.
 
-        ``x`` takes the same forms as in :meth:`BiPoly.eval`.  A zero
-        denominator anywhere on the row raises :class:`PoleEvaluationError`.
+        A zero denominator there raises :class:`PoleEvaluationError`.  Rows
+        go through :meth:`eval_row`.
         """
-        row = isinstance(x, (list, tuple))
-        nums, dens = self.eval_row(*over_one_denominator(x if row else (x,)), as_fraction(y))
-        values = [Fraction(n, d) for n, d in zip(nums, dens)]
-        return values if row else values[0]
+        (n,), (d,) = self.eval_row(*over_one_denominator((x,)), as_fraction(y))
+        return Fraction(n, d)
 
     def eval_row(self, ps: Sequence[int], q: int, y: Fraction) -> tuple[list[int], list[int]]:
         """Exact values at the points ``(ps[k]/q, y)``: per point an integer
@@ -853,6 +837,7 @@ def poly_to_str(p: BiPoly) -> str:
 def ratfn_to_str(f: RatFn) -> str:
     """Canonical text ``(num)/(den)``; zero, or a unit denominator, prints as
     a plain poly."""
-    if f.is_zero() or f.den == ONE:
-        return poly_to_str(f.num)
-    return f"({poly_to_str(f.num)})/({poly_to_str(f.den)})"
+    if f.is_zero():
+        return "0"
+    num, den = poly_to_str(f.num), f.den
+    return num if den == ONE else f"({num})/({poly_to_str(den)})"

@@ -121,6 +121,12 @@ class GridSpec:
         )
 
 
+def _report(name: str, mode: str, ok: bool, detail: dict,
+            params: dict | None = None, seed: int | None = None) -> ResidualReport:
+    """Every report is made here: it passes exactly when ``ok``."""
+    return ResidualReport(name, mode, "pass" if ok else "fail", detail, params or {}, seed)
+
+
 # ---------------------------------------------------------------------------
 # exact checks
 # ---------------------------------------------------------------------------
@@ -132,25 +138,19 @@ def _exact_report(
     params: dict | None = None,
     seed: int | None = None,
     extra: dict | None = None,
+    ok: bool = True,
 ) -> ResidualReport:
-    infos = [
-        {"terms": r.num.n_terms, "degree": r.num.total_degree()} for r in residuals
-    ]
+    """Passes when ``ok`` and every residual is identically zero."""
+    nums = [r.num for r in residuals]
+    infos = [{"terms": n.n_terms, "degree": n.total_degree()} for n in nums]
     detail = {
         "residuals": infos,
         "residual_terms": sum(info["terms"] for info in infos),
     }
     if extra:
         detail.update(extra)
-    verdict = "pass" if all(ratfn_is_zero(r) for r in residuals) else "fail"
-    return ResidualReport(
-        check_name=name,
-        mode="exact",
-        verdict=verdict,
-        detail=detail,
-        params=params or {},
-        seed=seed,
-    )
+    ok = ok and all(ratfn_is_zero(r) for r in residuals)
+    return _report(name, "exact", ok, detail, params, seed)
 
 
 def check_eq12(B: RatFn) -> ResidualReport:
@@ -220,14 +220,8 @@ def _numeric_report(
     seed: int | None = None,
 ) -> ResidualReport:
     """A numeric verdict: pass when the worst residual is within `tol`."""
-    return ResidualReport(
-        check_name=name,
-        mode="numeric",
-        verdict="pass" if worst <= tol else "fail",
-        detail={"max_residual": float(worst), "tolerance": tol, **detail},
-        params=params or {},
-        seed=seed,
-    )
+    detail = {"max_residual": float(worst), "tolerance": tol, **detail}
+    return _report(name, "numeric", worst <= tol, detail, params, seed)
 
 
 _SAMPLE_ROWS = 64  # grid rows per field call, so per intermediate array
@@ -372,15 +366,12 @@ def _params_text(params: dict) -> dict:
 def _aggregate(
     name: str, cases: list[dict], seed: int, params: dict | None = None
 ) -> ResidualReport:
-    verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
     detail = {
         "cases": cases,
         "residual_terms": sum(c.get("residual_terms", 0) for c in cases),
     }
-    return ResidualReport(
-        check_name=name, mode="exact", verdict=verdict, detail=detail,
-        params=params or {}, seed=seed,
-    )
+    ok = all(c["verdict"] == "pass" for c in cases)
+    return _report(name, "exact", ok, detail, params, seed)
 
 
 def _case_from(*reports: ResidualReport, **labels) -> dict:
@@ -428,17 +419,13 @@ def _run_eq12_harmonic(seed: int) -> ResidualReport:
 def _run_eq12_counterexample(seed: int) -> ResidualReport:
     name = "eq12:counterexample"
     inner = check_eq12(RatFn.from_poly(X * X))
-    verdict = "pass" if inner.verdict == "fail" else "fail"
     detail = {
         "expected_failure": True,
         "inner_verdict": inner.verdict,
         "residual_terms": inner.detail["residual_terms"],
         "residuals": inner.detail["residuals"],
     }
-    return ResidualReport(
-        check_name=name, mode="exact", verdict=verdict, detail=detail,
-        params={"B": "x^2"}, seed=seed,
-    )
+    return _report(name, "exact", not inner.passed, detail, {"B": "x^2"}, seed)
 
 
 def _run_potential_family(key: str, seed: int) -> ResidualReport:
@@ -464,12 +451,9 @@ def _run_potential_tsarev1(seed: int) -> ResidualReport:
     u_closed = closed_potential(sol.family_tag, sol.params).u
     residual = u_pipe - u_closed
     spot = u_closed.eval(0, 0)
-    report = _exact_report(name, [residual], seed=seed,
-                           params=_params_text(sol.params),
-                           extra={"origin_value": str(spot)})
-    if spot != Fraction(-1, 5):
-        report = replace(report, verdict="fail")
-    return report
+    return _exact_report(name, [residual], seed=seed,
+                         params=_params_text(sol.params),
+                         extra={"origin_value": str(spot)}, ok=spot == Fraction(-1, 5))
 
 
 def _run_potential_tsarev2(seed: int) -> ResidualReport:
@@ -664,10 +648,7 @@ def _run_smooth(key: str, seed: int) -> ResidualReport:
         "min_denominator": float(worst**2),
         "bound": float(C * C),
     }
-    return ResidualReport(
-        check_name=name, mode="exact", verdict="pass" if worst >= C else "fail",
-        detail=detail, params=_params_text(params), seed=seed,
-    )
+    return _report(name, "exact", worst >= C, detail, _params_text(params), seed)
 
 
 # dim target -> (the preset whose poles are the first pole set, the poles

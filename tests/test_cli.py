@@ -9,11 +9,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darboux2d import cli
+from darboux2d import cli, verify
 from darboux2d.cli import main
 from darboux2d.darboux import R_coeffs, transform_solution
 from darboux2d.families import (
@@ -22,6 +23,7 @@ from darboux2d.families import (
     PRESETS,
     build_family,
     build_preset,
+    build_tanh,
     closed_potential,
     closed_R,
 )
@@ -419,7 +421,7 @@ def test_grid_rounding_matches_float_of_the_exact_value(scale, row, y):
     xs, y = [Fraction(x) for x in row] + [Fraction(y)], Fraction(y)
     ps, q = over_one_denominator(xs)
     rounded = list(map(cli._rounded, *f.eval_row(ps, q, y)))
-    expected = [_float_or_nan(v) for v in f.eval(xs, y)]
+    expected = [_float_or_nan(f.eval(x, y)) for x in xs]
     assert [v.hex() for v in rounded] == [v.hex() for v in expected]
     assert rounded[-1].hex() == "0x0.0p+0"
 
@@ -513,6 +515,58 @@ def test_out_writes_file(capsys, tmp_path):
                          "--x", "0:1:2", "--y", "0:0:1", "--out", str(path))
     assert code == 0
     assert path.read_text().startswith("x,y,value\n")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("build", "--family", "b0"), id="build"),
+    pytest.param(("verify", "--targets", "spot:potentials"), id="verify"),
+    pytest.param(("transform", "--family", "b0"), id="transform"),
+    pytest.param(("grid", "--family", "b0", "--x", "0:1:2", "--y", "0:0:1"), id="grid"),
+])
+def test_unwritable_out_exits_2_with_one_json_line(capsys, tmp_path, argv):
+    # exit 1 means a check failed; an output path that cannot be written is
+    # a usage error
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid-output"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field", ["u", "B"])
+@pytest.mark.parametrize("params, C1, C2", [
+    pytest.param(None, 1.0, 0.0, id="defaults"),
+    pytest.param('{"C1": "3/2", "C2": -0.25}', 1.5, -0.25, id="C1-1.5-C2-neg0.25"),
+])
+def test_tanh_grid_is_sampled_like_the_suite(capsys, field, params, C1, C2):
+    # one array call per row, as `fd_residual` samples; compared in this
+    # process, so against the same numpy build and SIMD level
+    argv = ["grid", "--family", "tanh", "--field", field,
+            "--x", "-2:2:101", "--y", "-2:2:101"]
+    code, out, _ = run_cli(capsys, *argv, *(("--params", params) if params else ()))
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    xs = np.array([float(x) for x, _, _ in rows[:101]])
+    ys = np.array([float(y) for _, y, _ in rows[::101]])
+    B_s, u = build_tanh(C1, C2)
+    f = B_s if field == "B" else u
+    by_rows = np.concatenate([f(xs, float(y)) for y in ys])
+    sampled = verify._sample(f, xs, ys).ravel()
+    emitted = [float(v).hex() for _, _, v in rows]
+    assert emitted == [v.hex() for v in by_rows.tolist()]
+    assert emitted == [v.hex() for v in sampled.tolist()]
+
+
+def test_overflowing_tanh_grid_writes_one_stderr_line():
+    # x*x overflows at 1e200; numpy must not print a RuntimeWarning
+    proc = subprocess.run(
+        [sys.executable, "-m", "darboux2d.cli", "grid", "--family", "tanh",
+         "--x=-1e200:1e200:3", "--y=0:1:2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"points": 6, "nonfinite": 4}
 
 
 def test_console_script_smoke():

@@ -293,13 +293,13 @@ _row_points = st.one_of(
 )
 @settings(max_examples=40, deadline=None)
 def test_row_eval_matches_a_term_by_term_sum(p, row, y):
-    values = p.eval(row, y)
-    assert values == [_sum_terms(p, Fraction(x), Fraction(y)) for x in row]
-    assert all(type(v) is Fraction for v in values)
-    assert p.eval(tuple(row), y) == values
-    for x, v in zip(row, values):
-        assert p.eval(x, y) == v
-    assert p.eval(row, str(Fraction(y))) == values  # "p/q" text for y
+    expected = [_sum_terms(p, Fraction(x), Fraction(y)) for x in row]
+    nums, d = p.eval_row(*over_one_denominator(row), Fraction(y))
+    assert [Fraction(n, d) for n in nums] == expected
+    for x, v in zip(row, expected):
+        value = p.eval(x, y)
+        assert type(value) is Fraction and value == v
+        assert p.eval(x, str(Fraction(y))) == v  # "p/q" text for y
 
 
 @given(
@@ -314,27 +314,34 @@ def test_ratfn_row_eval_matches_a_term_by_term_quotient(p, q, row, y):
     # one factor in the denominator (squared) and one in the numerator
     f = RatFn(p, den) * RatFn(X - Y + 3, den) / RatFn(ONE, den + X * X)
     assert sorted(e for _, e in f.factors) == [-2, 1]
-    assert f.eval(row, y) == [_ratfn_by_terms(f, Fraction(x), Fraction(y)) for x in row]
+    expected = [_ratfn_by_terms(f, Fraction(x), Fraction(y)) for x in row]
+    nums, dens = f.eval_row(*over_one_denominator(row), Fraction(y))
+    assert [Fraction(n, d) for n, d in zip(nums, dens)] == expected
+    assert [f.eval(x, y) for x in row] == expected
 
 
 def test_row_eval_through_a_pole_raises_and_floats_are_rejected():
     f = RatFn(ONE, X * X - Y)
-    assert f.eval([-1, 2, Fraction(1, 3)], 9) == [
+    assert [f.eval(x, 9) for x in (-1, 2, Fraction(1, 3))] == [
         Fraction(-1, 8), Fraction(-1, 5), Fraction(-9, 80)
     ]
     # a pole first on the row, and last; the error names the first one
     for row, pole in (([3, -1, 2, -3], "3"), ([-1, 2, -3], "-3")):
         with pytest.raises(PoleEvaluationError, match=rf"at \({pole}, 9\)"):
-            f.eval(row, 9)
+            f.eval_row(*over_one_denominator(row), Fraction(9))
+    with pytest.raises(PoleEvaluationError, match=r"at \(-3, 9\)"):
+        f.eval(-3, 9)
     ps, q = over_one_denominator([Fraction(1, 2), Fraction(-3, 2), 0, Fraction(3, 2)])
     with pytest.raises(PoleEvaluationError, match=r"at \(-3/2, 9/4\)"):
         f.eval_row(ps, q, Fraction(9, 4))
     with pytest.raises(TypeError):
-        (X + Y).eval([1, 0.5], 2)
+        over_one_denominator([1, 0.5])
     with pytest.raises(TypeError):
         (X + Y).eval(0.5, 2)
     with pytest.raises(TypeError):
-        f.eval([Fraction(1, 2), 0.25], 2)
+        f.eval(Fraction(1, 2), 0.25)
+    with pytest.raises(TypeError):  # a row is not a point
+        (X + Y).eval([1, 2], 2)
 
 
 

@@ -1,6 +1,7 @@
 """Certification engine tests (kept light; the heavy battery is the
 acceptance suite)."""
 
+import dataclasses
 import json
 import math
 import random
@@ -346,36 +347,74 @@ def test_transform_target_fails_on_broken_operator(monkeypatch):
     assert rep.verdict == "fail"
 
 
+def _lift_C(real):
+    """``real`` (a closed form taking (tag, params)) at C + 1."""
+    return lambda tag, params: real(tag, {**params, "C": params["C"] + 1})
+
+
 def test_guard_transform_fails_on_a_perturbed_closed_R(monkeypatch):
     # the seeds run on the pole form of R; its one zero test against the
     # paper's R joins every case, so a wrong pole form fails all eight
     (rep,) = run_suite(["transform:b1"], 7)
     assert rep.verdict == "pass"
-    real = verify.closed_R
-
-    def perturbed(tag, params):
-        return real(tag, {**params, "C": params["C"] + 1})
-
-    monkeypatch.setattr(verify, "closed_R", perturbed)
+    monkeypatch.setattr(verify, "closed_R", _lift_C(verify.closed_R))
     (rep,) = run_suite(["transform:b1"], 7)
     assert rep.verdict == "fail"
     assert [c["verdict"] for c in rep.detail["cases"]] == ["fail"] * 8
 
 
 @pytest.mark.parametrize("target", ["potential:b0", "potential:b1", "potential:b2",
-                                    "potential:b3", "potential:tsarev-1:b1"])
+                                    "potential:b3", "potential:tsarev-1:b1", "ufromh:b0"])
 def test_guard_potential_fails_on_the_transcription_at_C_plus_1(monkeypatch, target):
     (rep,) = run_suite([target], 7)
     assert rep.verdict == "pass"
-    real = verify.closed_potential
-
-    def lifted(tag, params):
-        return real(tag, {**params, "C": params["C"] + 1})
-
-    monkeypatch.setattr(verify, "closed_potential", lifted)
+    monkeypatch.setattr(verify, "closed_potential", _lift_C(verify.closed_potential))
     (rep,) = run_suite([target], 7)
     assert rep.verdict == "fail"
     assert all(c["verdict"] == "fail" for c in rep.detail.get("cases", []))
+
+
+@pytest.mark.parametrize("key", ["b0", "b1", "b2", "b3"])
+def test_guard_eq12_target_fails_on_every_draw_of_N_over_D_squared(monkeypatch, key):
+    (rep,) = run_suite([f"eq12:{key}"], 7)
+    assert rep.verdict == "pass"
+    real = verify.build_family
+
+    def squared(tag, params):
+        sol = real(tag, params)
+        return dataclasses.replace(sol, B=RatFn(sol.B.num, sol.B.den * sol.B.den))
+
+    monkeypatch.setattr(verify, "build_family", squared)
+    (rep,) = run_suite([f"eq12:{key}"], 7)
+    assert rep.verdict == "fail"
+    assert [c["verdict"] for c in rep.detail["cases"]] == ["fail"] * 15
+
+
+def test_guard_spot_values_fail_at_C_plus_1(monkeypatch):
+    (rep,) = run_suite(["spot:potentials"], 7)
+    assert rep.verdict == "pass"
+    monkeypatch.setattr(verify, "closed_potential", _lift_C(verify.closed_potential))
+    (rep,) = run_suite(["spot:potentials"], 7)
+    assert rep.verdict == "fail"
+    # u3(0, 0) is 0 at any C
+    assert [c["verdict"] for c in rep.detail["cases"]] == ["fail"] * 4 + ["pass"]
+
+
+@pytest.mark.parametrize("key", ["b0", "b1", "b2", "b3"])
+def test_guard_decay_fails_on_one_power_of_D(monkeypatch, key):
+    (rep,) = run_suite([f"decay:{key}"], 7)
+    assert rep.verdict == "pass"
+    real = verify.closed_potential
+
+    def one_power(tag, params):
+        closed = real(tag, params)
+        ((den, _),) = closed.u.factors
+        return dataclasses.replace(closed, u=RatFn(closed.u.poly, den))
+
+    monkeypatch.setattr(verify, "closed_potential", one_power)
+    (rep,) = run_suite([f"decay:{key}"], 7)
+    assert rep.verdict == "fail"
+    assert all(abs(s + 2) < 0.1 for s in rep.detail["slopes"])  # u ~ r^-2
 
 
 def test_tsarev2_potential_fails_on_a_shifted_pole(monkeypatch):
