@@ -47,7 +47,7 @@ from darboux2d.polyrat import (
     over_one_denominator,
     ratfn_to_str,
 )
-from darboux2d.verify import check_schrodinger, run_suite, targets_for_family
+from darboux2d.verify import check_schrodinger, check_targets, run_suite, targets_for_family
 
 
 class CliError(Exception):
@@ -210,15 +210,17 @@ def _print_progress(name: str, report, seconds: float) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     targets = [t.strip() for t in (args.targets or "").split(",") if t.strip()]
-    if not targets:
-        try:
-            targets = targets_for_family(args.family or "all")
-        except ValueError as exc:
-            raise CliError("invalid-params", str(exc)) from None
     try:
-        reports = run_suite(targets, args.seed, _print_progress if args.progress else None)
+        targets = targets or targets_for_family(args.family or "all")
+        check_targets(targets)
     except ValueError as exc:
         raise CliError("invalid-params", str(exc)) from None
+    if args.out not in (None, "-"):  # fail before the suite, which takes seconds
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise CliError("invalid-output", f"cannot write --out: {exc}") from None
+    reports = run_suite(targets, args.seed, _print_progress if args.progress else None)
     payload = json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2)
     _write_out(payload, args.out)
     return 0 if all(r.passed for r in reports) else 1

@@ -19,17 +19,20 @@ and exact values.  Rendering uses a graded-lexicographic term order (total
 degree descending, then x-exponent descending) so that the text form of a
 polynomial is canonical.
 
-Products multiply the integer terms either pair by pair (schoolbook, for
-small or sparse operands) or by Kronecker substitution (for dense ones).
-Both key ``x^i y^j`` by the integer ``i*width + j``, ``width`` one more than
-the product's y-degree: the schoolbook adds keys, and Kronecker packs each
-operand into one big integer with the key as slot index, multiplies the two
-once, and reads back the product's slots.  A cost model over term counts,
-slot fill and coefficient bits picks the path (:func:`_kronecker_pays`);
-both give the same nonzero terms.  The product's denominator is the
-product of the two, reduced once.  Term order in a polynomial is not part
-of its value: ``eval_float`` sums in sorted key order, so equal polynomials
-evaluate to the same float whichever path or insertion order built them.
+Products multiply the integer terms pair by pair (schoolbook, for small or
+sparse operands), by one int64 convolution or by Kronecker substitution (for
+dense ones).  All key ``x^i y^j`` by ``i*width + j``, ``width`` one more than
+the product's y-degree: the schoolbook adds keys, the convolution convolves
+``np.int64`` arrays with the key as slot index, and Kronecker packs each
+operand into one big integer the same way, multiplies the two once and reads
+back the product's slots.  The convolution is exact because it is taken only
+when ``max|a|*max|b|*min(len(a), len(b)) < 2**63``, which bounds every
+partial sum.  Cost models over term counts, slot fill (empty slots included)
+and coefficient bits pick the path; all give the same nonzero terms.  The
+product's denominator is the product of the two, reduced once.  Term order
+in a polynomial is not part of its value: ``eval_float`` sums in sorted key
+order, so equal polynomials evaluate to the same float whichever path or
+insertion order built them.
 
 A global exponent cap (default 256, overridable through the environment
 variable ``DARBOUX_EXP_CAP``) bounds intermediate blow-up: a product whose
@@ -48,6 +51,8 @@ import os
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Exponent = tuple[int, int]
 IntTerms = Mapping[Exponent, int]
@@ -338,19 +343,13 @@ def _coerce_poly(value) -> "BiPoly":
 def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
     """Sparse product of integer terms; the nonzero terms of the product.
 
-    The product takes one of two paths, which agree on the nonzero terms:
-
-      * schoolbook (:func:`_mul_schoolbook`): one dict update per pair of
-        terms on packed integer keys; the path for small or sparse operands;
-      * Kronecker substitution (:func:`_mul_kronecker`): each operand is
-        packed into one integer, the two are multiplied once by CPython's
-        big-int multiply, and the product is unpacked through bytes; the
-        path for dense products.
-
-    Each operand is scanned once (:func:`_extent`) for the exponent cap and
-    both paths' sizes.  The cutover is a cost model over what the operands
-    show (term counts, packed-slot fill, coefficient bits), see
-    :func:`_kronecker_pays`.
+    Three paths agree on the nonzero terms: the schoolbook (one dict update per
+    pair of terms) for small or sparse operands, the int64 convolution for
+    dense products whose slot fits 64 bits (the bound that makes it exact), and
+    Kronecker substitution (one big-int multiply) for dense products with wider
+    coefficients.  Each operand is scanned once (:func:`_extent`) for the
+    exponent cap and the paths' sizes; cost models pick the path
+    (:func:`_convolution_pays`, :func:`_kronecker_pays`).
     """
     if not a or not b:
         return {}
@@ -360,8 +359,11 @@ def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
     # the product has a term of x-degree dx(a) + dx(b) and one of y-degree
     # dy(a) + dy(b), so this raises exactly when the result would
     _check_cap(((ext_a[0] + ext_b[0], 0), (0, ext_a[1] + ext_b[1])))
-    if len(a) * len(b) >= _KRONECKER_MIN_PAIRS and _kronecker_pays(len(a), len(b), ext_a, ext_b):
-        return _mul_kronecker(a, b, ext_a, ext_b)
+    if len(a) * len(b) >= _DENSE_MIN_PAIRS:
+        if _slot_bits(ext_a[2], ext_b[2], len(b)) <= 64 and _convolution_pays(a, b, ext_a, ext_b):
+            return _mul_int64(a, b, ext_a, ext_b)
+        if _kronecker_pays(len(a), len(b), ext_a, ext_b):
+            return _mul_kronecker(a, b, ext_a, ext_b)
     return _mul_schoolbook(a, b, ext_a, ext_b)
 
 
@@ -386,9 +388,9 @@ def _mul_schoolbook(
     return {divmod(key, width): val for key, val in acc.items() if val}
 
 
-# The cost model below never picks Kronecker under about 750 pairs of terms
-# on recorded operands; under this floor it is not evaluated at all.
-_KRONECKER_MIN_PAIRS = 256
+# Under this many pairs of terms neither cost model below is evaluated: on
+# recorded operands neither dense path wins by more than noise there.
+_DENSE_MIN_PAIRS = 256
 # CPython multiplies big ints by Karatsuba above this many 30-bit digits.
 _KARATSUBA_CUTOFF = 70
 
@@ -415,14 +417,12 @@ def _kronecker_pays(n_outer: int, n_inner: int, ext_outer: Extent, ext_inner: Ex
     Both costs are predicted in nanoseconds, with constants fitted by least
     squares on about 2,000 operand pairs recorded from the ``transform``,
     ``eq12`` and ``potential`` targets (CPython 3.11, x86-64).  Schoolbook
-    pays per pair of terms, more for multi-digit coefficients; that fit is
-    scaled by 0.7 for the packed keys, which takes about 4% off the time of
-    the recorded products of the seed-7 suite.  Kronecker pays per term
-    packed, per product slot unpacked, and for one big-int multiply of the
-    packed operands.  A sparse operand packs into a long
-    integer of mostly empty slots, so lopsided and sparse products (a
-    thousand-term operand times a twenty-term one, say) stay on the
-    schoolbook path.
+    pays per pair of terms, more for multi-digit coefficients, scaled by 0.7
+    for the packed keys.  Kronecker pays per term packed, per product slot
+    unpacked, and for one big-int multiply of the packed operands.  A sparse
+    operand packs into a long integer of mostly empty slots, so lopsided and
+    sparse products (a thousand-term operand times a twenty-term one) stay
+    on the schoolbook path.
     """
     (xo, yo, mo), (xi, yi, mi) = ext_outer, ext_inner
     width = yo + yi + 1
@@ -439,6 +439,39 @@ def _kronecker_pays(n_outer: int, n_inner: int, ext_outer: Extent, ext_inner: Ex
     )
     pair = 175 + 2.6 * (mo.bit_length() / 30 + 1) * (mi.bit_length() / 30 + 1)
     return kronecker < n_outer * n_inner * pair
+
+
+def _convolution_pays(a: IntTerms, b: IntTerms, ext_a: Extent, ext_b: Extent) -> bool:
+    """Cost model: is the int64 convolution cheaper than the pair loop?
+
+    Fitted like :func:`_kronecker_pays` on the suite's products whose slot
+    fits 64 bits, in ns: 5,000 + 72 per term in + 82 per term out (at most
+    the pairs or the product's slots) + 0.36 per pair of slots, empty ones
+    included, against 100 per pair of terms for the schoolbook.  A sparse
+    operand of high degree spans many slots, so it stays off this path.
+    """
+    width = ext_a[1] + ext_b[1] + 1
+    slots_a, slots_b = (ext[0] * width + ext[1] + 1 for ext in (ext_a, ext_b))
+    pairs = len(a) * len(b)
+    cost = 5000 + 72 * (len(a) + len(b)) + 82 * min(pairs, slots_a + slots_b - 1)
+    return cost + 0.36 * slots_a * slots_b < 100 * pairs
+
+
+def _mul_int64(
+    outer: IntTerms, inner: IntTerms, ext_outer: Extent, ext_inner: Extent
+) -> dict[Exponent, int]:
+    """Integer product as one ``np.convolve`` of int64 arrays on the slots of
+    :func:`_mul_kronecker`; exact only when ``_slot_bits`` is at most 64,
+    which keeps every partial sum of pairs below ``2**63``."""
+    (xo, yo, _), (xi, yi, _) = ext_outer, ext_inner
+    width = yo + yi + 1
+    a, b = np.zeros(xo * width + yo + 1, np.int64), np.zeros(xi * width + yi + 1, np.int64)
+    a[[i * width + j for i, j in outer]] = list(outer.values())
+    b[[i * width + j for i, j in inner]] = list(inner.values())
+    product = np.convolve(a, b)
+    nonzero = np.flatnonzero(product)
+    i, j = np.divmod(nonzero, width)
+    return dict(zip(zip(i.tolist(), j.tolist()), product[nonzero].tolist()))
 
 
 def _pack(terms: IntTerms, width: int, n_slots: int, nbytes: int) -> int:

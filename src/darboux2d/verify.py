@@ -750,6 +750,13 @@ def targets_for_family(family: str) -> list[str]:
     return hits
 
 
+def check_targets(targets: Sequence[str]) -> None:
+    """Raise ValueError naming every target the suite does not know."""
+    unknown = [t for t in targets if t not in _TARGETS]
+    if unknown:
+        raise ValueError(f"unknown target(s): {', '.join(unknown)}")
+
+
 def run_suite(targets: Sequence[str], seed: int,
               progress: Callable[[str, ResidualReport, float], None] | None = None
               ) -> list[ResidualReport]:
@@ -759,9 +766,7 @@ def run_suite(targets: Sequence[str], seed: int,
     gives identical reports.  ``progress``, if given, is called as each
     target finishes, with its name, its report and its wall time in seconds.
     """
-    unknown = [t for t in targets if t not in _TARGETS]
-    if unknown:
-        raise ValueError(f"unknown target(s): {', '.join(unknown)}")
+    check_targets(targets)
     reports = []
     for name in targets:
         start = time.perf_counter()

@@ -533,6 +533,24 @@ def test_unwritable_out_exits_2_with_one_json_line(capsys, tmp_path, argv):
     assert not path.exists()
 
 
+def test_verify_checks_targets_then_out_before_running_the_suite(capsys, tmp_path, monkeypatch):
+    # the whole suite takes seconds; a bad target or --out must fail first
+    def no_suite(*args):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "verify", "--family", "all", "--seed", "7",
+                             "--out", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid-output"
+    # a bad target name is still reported as such, before the output path
+    code, out, err = run_cli(capsys, "verify", "--targets", "nope", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid-params"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("field", ["u", "B"])
 @pytest.mark.parametrize("params, C1, C2", [
     pytest.param(None, 1.0, 0.0, id="defaults"),

@@ -3,6 +3,7 @@
 import math
 import operator
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,13 @@ from darboux2d.polyrat import (
     ExponentCapError,
     PoleEvaluationError,
     RatFn,
+    _convolution_pays,
     _extent,
     _kronecker_pays,
+    _mul_int64,
     _mul_kronecker,
     _mul_schoolbook,
+    _slot_bits,
     as_fraction,
     laplacian,
     over_one_denominator,
@@ -444,13 +448,13 @@ def test_ratfn_matches_quotient_rule_oracle(program):
         oracles.append((n, d))
 
 
-# -- the two multiply paths ---------------------------------------------------
+# -- the three multiply paths -------------------------------------------------
 #
-# Both src paths key terms by packed integers, so neither is an independent
-# oracle for the other.  `_naive_product` (tuple keys, one dict update per
-# pair of terms) is: the schoolbook and the Kronecker path must each return
-# its nonzero terms.  Term order is free; `eval_float` sums in sorted key
-# order.
+# All src paths key terms by packed integers, so none is an independent
+# oracle for another.  `_naive_product` (tuple keys, one dict update per
+# pair of terms) is: the schoolbook, the Kronecker path and, wherever the
+# slot fits 64 bits, the int64 convolution must each return its nonzero
+# terms.  Term order is free; `eval_float` sums in sorted key order.
 
 _small_ints = st.integers(min_value=-9, max_value=9).filter(bool)
 _huge_ints = st.builds(
@@ -510,6 +514,20 @@ def _schoolbook(outer, inner):
     return _mul_schoolbook(outer, inner, _extent(outer), _extent(inner))
 
 
+def _int64(outer, inner):
+    return _mul_int64(outer, inner, _extent(outer), _extent(inner))
+
+
+def _fits_int64(outer, inner):
+    return _slot_bits(_extent(outer)[2], _extent(inner)[2], len(inner)) <= 64
+
+
+def _convolves(outer, inner):
+    return _fits_int64(outer, inner) and _convolution_pays(
+        outer, inner, _extent(outer), _extent(inner)
+    )
+
+
 def _naive_product(a: dict, b: dict) -> dict:
     """Oracle: the nonzero terms of the product, summed on ``(i, j)`` keys."""
     out: dict = {}
@@ -524,6 +542,8 @@ def _assert_paths_agree(outer, inner):
     oracle = _naive_product(outer, inner)
     assert _schoolbook(outer, inner) == oracle
     assert _kronecker(outer, inner) == oracle
+    if _fits_int64(outer, inner):
+        assert _int64(outer, inner) == oracle
 
 
 # every default phase but shrink (and explain, which needs it): shrinking
@@ -612,6 +632,104 @@ def test_schoolbook_matches_the_naive_product_on_sparse_high_exponents(a, b):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("DARBOUX_EXP_CAP", "8000")
         assert (BiPoly(outer) * BiPoly(inner)).terms == _naive_product(outer, inner)
+
+
+@st.composite
+def signed_terms(draw, max_exp=12, max_terms=60):
+    """Term dicts whose products fit the int64 slot: every coefficient
+    negative, or signs mixed."""
+    bits = draw(st.sampled_from([3, 20, 26]))
+    magnitude = st.integers(1, 2**bits)
+    if draw(st.booleans()):
+        coeff = magnitude.map(operator.neg)
+    else:
+        coeff = st.builds(operator.mul, magnitude, st.sampled_from([1, -1]))
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
+            min_size=1,
+            max_size=max_terms,
+            unique=True,
+        )
+    )
+    return {key: draw(coeff) for key in keys}
+
+
+@given(signed_terms(), signed_terms())
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+def test_int64_path_matches_the_naive_product_on_negative_coefficients(a, b):
+    outer, inner = _ordered(a, b)
+    assert _fits_int64(outer, inner)
+    _assert_paths_agree(outer, inner)
+    assert (BiPoly(outer) * BiPoly(inner)).terms == _naive_product(outer, inner)
+
+
+@st.composite
+def slot_bound_edges(draw):
+    """Operands whose bound ``max|outer| * max|inner| * len(inner)`` lies
+    just below ``2**63`` or, with the inner maximum one larger, just above.
+
+    Both operands are runs of consecutive exponents in one variable with
+    one coefficient each, so the middle slots of the product sum
+    ``len(inner)`` equal pairs and come within one pair of the bound.
+    """
+    n_inner = draw(st.integers(1, 40))
+    n_outer = draw(st.integers(n_inner, 60))
+    max_outer = draw(st.integers(1, 2**40))
+    max_inner = (2**63 - 1) // (max_outer * n_inner) + draw(st.integers(0, 1))
+    var = draw(st.sampled_from([0, 1]))
+    start = draw(st.integers(0, 5))
+
+    def run(n, c):
+        return {((start + k, 0) if var == 0 else (0, start + k)): c for k in range(n)}
+
+    sign = draw(st.sampled_from([1, -1]))
+    return run(n_outer, sign * max_outer), run(n_inner, draw(st.sampled_from([1, -1])) * max_inner)
+
+
+def _raise_if_called(*args):
+    raise AssertionError("the int64 convolution was taken")
+
+
+@given(slot_bound_edges())
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+def test_int64_path_is_exact_up_to_the_slot_bound_and_not_taken_above(pair):
+    outer, inner = pair
+    bound = _extent(outer)[2] * _extent(inner)[2] * len(inner)
+    oracle = _naive_product(outer, inner)
+    if bound < 2**63:
+        assert _fits_int64(outer, inner)
+        assert max(map(abs, oracle.values())) > 2**62
+        _assert_paths_agree(outer, inner)
+    else:
+        assert not _fits_int64(outer, inner)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyrat, "_mul_int64", _raise_if_called)
+            assert (BiPoly(outer) * BiPoly(inner)).terms == oracle
+
+
+def test_guard_int64_product_needs_the_slot_bound():
+    # coefficients fit int64, their products do not: the convolution wraps
+    a = {(k, 0): 2**40 + k for k in range(8)}
+    b = {(k, 1): -(2**40) - 3 * k for k in range(8)}
+    assert not _fits_int64(a, b)
+    oracle = _naive_product(a, b)
+    assert _int64(a, b) != oracle
+    assert (BiPoly(a) * BiPoly(b)).terms == oracle
+
+
+def test_sparse_high_degree_operands_stay_off_the_convolution(monkeypatch):
+    # 16 x 16 = 256 pairs of small coefficients, but the operands span about
+    # 32 million slots each: convolving them would take hours
+    a = {(250 * k, 4000 - 250 * k): k + 1 for k in range(16)}
+    b = {(4000 - 240 * k, 60 * k + 1): 2 * k - 7 for k in range(16)}
+    assert _fits_int64(a, b) and not _convolves(a, b)
+    monkeypatch.setenv("DARBOUX_EXP_CAP", "8000")
+    monkeypatch.setattr(np, "convolve", _raise_if_called)
+    start = time.perf_counter()
+    product = BiPoly(a) * BiPoly(b)
+    assert time.perf_counter() - start < 0.5
+    assert product.terms == _naive_product(a, b)
 
 
 @st.composite
@@ -724,12 +842,16 @@ def dense_polys(draw, degree=8):
 @given(polys(), polys(), dense_polys(), dense_polys(), _coeffs, st.integers(0, 3))
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 def test_guard_every_operation_returns_the_canonical_form(p, q, a, b, c, n):
-    # p * q stays on the schoolbook path, a * b goes through Kronecker
-    assert p.n_terms * q.n_terms < polyrat._KRONECKER_MIN_PAIRS
-    assert _pays(a.terms, b.terms)
+    # p * q stays on the schoolbook path, a * b goes through the int64
+    # convolution and a * wide, with coefficients past 64 bits, through Kronecker
+    wide = b * 2**70
+    assert p.n_terms * q.n_terms < polyrat._DENSE_MIN_PAIRS
+    assert _convolves(a.terms, b.terms)
+    assert not _fits_int64(a.terms, wide.terms) and _pays(a.terms, wide.terms)
     results = [
         p, q, a, BiPoly.const(c), p + q, p + p, p + c, p - q, p - p, c - p, -p,
-        p * q, a * b, p * c, c * p, p * Fraction(3, 2), p**n, p.diff("x"), a.diff("y"),
+        p * q, a * b, a * wide, p * c, c * p, p * Fraction(3, 2), p**n, p.diff("x"),
+        a.diff("y"),
     ]
     for r in results:
         _assert_canonical(r)
