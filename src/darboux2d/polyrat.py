@@ -20,17 +20,15 @@ degree descending, then x-exponent descending) so that the text form of a
 polynomial is canonical.
 
 Products multiply the integer terms pair by pair (schoolbook, for small or
-sparse operands), by one int64 convolution or by Kronecker substitution (for
-dense ones).  All key ``x^i y^j`` by ``i*width + j``, ``width`` one more than
-the product's y-degree: the schoolbook adds keys, the convolution convolves
-``np.int64`` arrays with the key as slot index, and Kronecker packs each
-operand into one big integer the same way, multiplies the two once and reads
-back the product's slots.  The convolution is exact because it is taken only
-when ``max|a|*max|b|*min(len(a), len(b)) < 2**63``, which bounds every
-partial sum.  Cost models over term counts, slot fill (empty slots included)
-and coefficient bits pick the path; all give the same nonzero terms.  The
-product's denominator is the product of the two, reduced once.  Term order
-in a polynomial is not part of its value: ``eval_float`` sums in sorted key
+sparse operands) or by int64 convolutions (for dense ones), both keyed by
+``i*width + j`` for ``x^i y^j``, ``width`` one more than the product's
+y-degree.  The convolution splits each coefficient into ``k`` signed limbs
+of ``s`` bits (one limb when ``max|a|*max|b|*min(len(a), len(b)) < 2**63``)
+with ``min(k_a, k_b)*min(len(a), len(b))*(2**s - 1)**2 < 2**63``, which caps
+every partial sum, and recombines the limb sums once as Python ints.  One
+cost model picks the path; both give the same nonzero terms.  The product's
+denominator is the product of the two, reduced once.  Term order in a
+polynomial is not part of its value: ``eval_float`` sums in sorted key
 order, so equal polynomials evaluate to the same float whichever path or
 insertion order built them.
 
@@ -57,6 +55,7 @@ import numpy as np
 Exponent = tuple[int, int]
 IntTerms = Mapping[Exponent, int]
 Extent = tuple[int, int, int]  # x-degree, y-degree, largest |coefficient|
+Plan = tuple[int, int, int]  # limb bits s, limbs per coefficient k_a, k_b
 Scalar = Union[int, Fraction, str]
 
 _DEFAULT_EXP_CAP = 256
@@ -343,13 +342,10 @@ def _coerce_poly(value) -> "BiPoly":
 def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
     """Sparse product of integer terms; the nonzero terms of the product.
 
-    Three paths agree on the nonzero terms: the schoolbook (one dict update per
-    pair of terms) for small or sparse operands, the int64 convolution for
-    dense products whose slot fits 64 bits (the bound that makes it exact), and
-    Kronecker substitution (one big-int multiply) for dense products with wider
-    coefficients.  Each operand is scanned once (:func:`_extent`) for the
-    exponent cap and the paths' sizes; cost models pick the path
-    (:func:`_convolution_pays`, :func:`_kronecker_pays`).
+    The schoolbook takes small or sparse operands and the int64 limb
+    convolutions (:func:`_mul_int64`) dense ones, as one cost model
+    (:func:`_convolution_pays`) picks.  Each operand is scanned once
+    (:func:`_extent`) for the exponent cap and the paths' sizes.
     """
     if not a or not b:
         return {}
@@ -360,10 +356,9 @@ def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
     # dy(a) + dy(b), so this raises exactly when the result would
     _check_cap(((ext_a[0] + ext_b[0], 0), (0, ext_a[1] + ext_b[1])))
     if len(a) * len(b) >= _DENSE_MIN_PAIRS:
-        if _slot_bits(ext_a[2], ext_b[2], len(b)) <= 64 and _convolution_pays(a, b, ext_a, ext_b):
-            return _mul_int64(a, b, ext_a, ext_b)
-        if _kronecker_pays(len(a), len(b), ext_a, ext_b):
-            return _mul_kronecker(a, b, ext_a, ext_b)
+        plan = _limb_plan(ext_a[2], ext_b[2], len(b))
+        if _convolution_pays(a, b, ext_a, ext_b, plan):
+            return _mul_int64(a, b, ext_a, ext_b, plan)
     return _mul_schoolbook(a, b, ext_a, ext_b)
 
 
@@ -372,7 +367,7 @@ def _mul_schoolbook(
 ) -> dict[Exponent, int]:
     """Integer product, one pair of terms at a time, on packed keys.
 
-    Keys are the ints ``i*width + j`` (the slots of :func:`_mul_kronecker`),
+    Keys are the ints ``i*width + j`` (the slots of :func:`_mul_int64`),
     so a pair adds two ints instead of hashing a new tuple; ``j1 + j2 <
     width``, so one ``divmod`` splits a key back, and zeros drop out there.
     """
@@ -388,11 +383,9 @@ def _mul_schoolbook(
     return {divmod(key, width): val for key, val in acc.items() if val}
 
 
-# Under this many pairs of terms neither cost model below is evaluated: on
-# recorded operands neither dense path wins by more than noise there.
+# Under this many pairs of terms the cost model below is not evaluated: on
+# recorded operands the convolution does not win by more than noise there.
 _DENSE_MIN_PAIRS = 256
-# CPython multiplies big ints by Karatsuba above this many 30-bit digits.
-_KARATSUBA_CUTOFF = 70
 
 
 def _extent(terms: IntTerms) -> Extent:
@@ -401,126 +394,91 @@ def _extent(terms: IntTerms) -> Extent:
     return max(terms)[0], max(map(itemgetter(1), terms)), max(map(abs, terms.values()))
 
 
-def _slot_bits(max_outer: int, max_inner: int, n_inner: int) -> int:
-    """Bits of one packed slot: any product coefficient plus a sign bit.
+def _limb_plan(max_a: int, max_b: int, n: int) -> Plan:
+    """The limbs that make the int64 convolutions of :func:`_mul_int64` exact.
 
-    A product coefficient sums at most ``n_inner`` pairwise products, so its
-    magnitude is at most ``max_outer * max_inner * n_inner``.  Slots are
-    whole bytes.
+    A product coefficient sums at most ``n = min(n_a, n_b)`` pairs, so when
+    ``max_a*max_b*n < 2**63`` one 64-bit limb (the coefficient) each is exact.
+    Otherwise each coefficient splits into ``k`` limbs of ``s`` bits, and a
+    limb sum adds at most ``min(k_a, k_b)*n`` pairs of magnitude at most
+    ``(2**s - 1)**2``: ``s`` is lowered until that bound is below ``2**63``.
     """
-    return 8 * (((max_outer * max_inner * n_inner).bit_length() + 8) // 8)
+    if max_a * max_b * n < 2**63:
+        return 64, 1, 1
+    bits_a, bits_b = max_a.bit_length(), max_b.bit_length()
+    s = (63 - n.bit_length()) // 2
+    while min(-(-bits_a // s), -(-bits_b // s)) * n * ((1 << s) - 1) ** 2 >= 2**63:
+        s -= 1
+    return s, -(-bits_a // s), -(-bits_b // s)
 
 
-def _kronecker_pays(n_outer: int, n_inner: int, ext_outer: Extent, ext_inner: Extent) -> bool:
-    """Cost model: is one packed big-int product cheaper than the pair loop?
+def _convolution_pays(a: IntTerms, b: IntTerms, ext_a: Extent, ext_b: Extent, plan: Plan) -> bool:
+    """Cost model in ns: are the limb convolutions cheaper than the pair loop?
 
-    Both costs are predicted in nanoseconds, with constants fitted by least
-    squares on about 2,000 operand pairs recorded from the ``transform``,
-    ``eq12`` and ``potential`` targets (CPython 3.11, x86-64).  Schoolbook
-    pays per pair of terms, more for multi-digit coefficients, scaled by 0.7
-    for the packed keys.  Kronecker pays per term packed, per product slot
-    unpacked, and for one big-int multiply of the packed operands.  A sparse
-    operand packs into a long integer of mostly empty slots, so lopsided and
-    sparse products (a thousand-term operand times a twenty-term one) stay
-    on the schoolbook path.
+    Fitted on the operand pairs of the seed-7 suite and of the closure
+    targets at seeds 7-26 (CPython 3.11, numpy 2.4, x86-64): the convolutions
+    pay 4,000 + 4,000 per convolution + 72 per limb placed + 0.36 per pair of
+    limb slots, empty ones included, + 75 per product slot per limb sum past
+    the first; the schoolbook pays ``100 + 3*(d_a*d_b - 1)`` per pair of
+    terms, ``d`` the 30-bit digits of each operand's largest coefficient.
     """
-    (xo, yo, mo), (xi, yi, mi) = ext_outer, ext_inner
-    width = yo + yi + 1
-    digits = _slot_bits(mo, mi, n_inner) / 30
-    short, long = sorted(((xo * width + yo + 1) * digits, (xi * width + yi + 1) * digits))
-    # digit products: CPython cuts the longer operand into pieces as long as
-    # the shorter and multiplies each pair by Karatsuba, n**log2(3) digits
-    if short < _KARATSUBA_CUTOFF:
-        big_mul = short * long
-    else:
-        big_mul = long / short * _KARATSUBA_CUTOFF**2 * (short / _KARATSUBA_CUTOFF) ** 1.585
-    kronecker = (
-        1900 * (n_outer + n_inner) + (xo + xi + 1) * width * (96 + 4.9 * digits) + big_mul
-    )
-    pair = 175 + 2.6 * (mo.bit_length() / 30 + 1) * (mi.bit_length() / 30 + 1)
-    return kronecker < n_outer * n_inner * pair
-
-
-def _convolution_pays(a: IntTerms, b: IntTerms, ext_a: Extent, ext_b: Extent) -> bool:
-    """Cost model: is the int64 convolution cheaper than the pair loop?
-
-    Fitted like :func:`_kronecker_pays` on the suite's products whose slot
-    fits 64 bits, in ns: 5,000 + 72 per term in + 82 per term out (at most
-    the pairs or the product's slots) + 0.36 per pair of slots, empty ones
-    included, against 100 per pair of terms for the schoolbook.  A sparse
-    operand of high degree spans many slots, so it stays off this path.
-    """
+    _, k_a, k_b = plan
     width = ext_a[1] + ext_b[1] + 1
-    slots_a, slots_b = (ext[0] * width + ext[1] + 1 for ext in (ext_a, ext_b))
-    pairs = len(a) * len(b)
-    cost = 5000 + 72 * (len(a) + len(b)) + 82 * min(pairs, slots_a + slots_b - 1)
-    return cost + 0.36 * slots_a * slots_b < 100 * pairs
+    slots_a, slots_b = ext_a[0] * width + ext_a[1] + 1, ext_b[0] * width + ext_b[1] + 1
+    limbs = 4000 * k_a * k_b + 72 * (len(a) * k_a + len(b) * k_b)
+    slot_pairs = 0.36 * k_a * k_b * slots_a * slots_b
+    recombine = 75 * (k_a + k_b - 2) * (slots_a + slots_b - 1)
+    d_a, d_b = -(-ext_a[2].bit_length() // 30), -(-ext_b[2].bit_length() // 30)
+    return 4000 + limbs + slot_pairs + recombine < len(a) * len(b) * (100 + 3 * (d_a * d_b - 1))
+
+
+def _limbs(terms: IntTerms, width: int, n_slots: int, s: int, k: int) -> np.ndarray:
+    """``k`` int64 rows: row ``u`` holds bits ``u*s`` to ``(u + 1)*s`` of each
+    coefficient's magnitude, with its sign, at slot ``i*width + j``."""
+    rows = np.zeros((k, n_slots), np.int64)
+    slots = [i * width + j for i, j in terms]
+    if k == 1:
+        rows[0][slots] = list(terms.values())
+        return rows
+    values = np.array(list(terms.values()), dtype=object)
+    signs = np.where(values < 0, -1, 1)
+    magnitudes = values * signs
+    for row in rows:
+        row[slots] = (magnitudes & ((1 << s) - 1)).astype(np.int64) * signs
+        magnitudes = magnitudes >> s
+    return rows
 
 
 def _mul_int64(
-    outer: IntTerms, inner: IntTerms, ext_outer: Extent, ext_inner: Extent
+    outer: IntTerms, inner: IntTerms, ext_outer: Extent, ext_inner: Extent, plan: Plan
 ) -> dict[Exponent, int]:
-    """Integer product as one ``np.convolve`` of int64 arrays on the slots of
-    :func:`_mul_kronecker`; exact only when ``_slot_bits`` is at most 64,
-    which keeps every partial sum of pairs below ``2**63``."""
+    """Integer product by ``np.convolve`` of int64 limb arrays.
+
+    Term ``(i, j)`` goes to slot ``i*width + j``, with ``width`` one more
+    than the product's y-degree, so no row of the product spills into the
+    next.  Limb ``u`` of one operand convolved with limb ``v`` of the other
+    adds to limb sum ``u + v``; the limb sums are recombined once as Python
+    ints.  Exact only under the bound of :func:`_limb_plan`, which keeps
+    every partial sum below ``2**63``.
+    """
     (xo, yo, _), (xi, yi, _) = ext_outer, ext_inner
+    s, k_o, k_i = plan
     width = yo + yi + 1
-    a, b = np.zeros(xo * width + yo + 1, np.int64), np.zeros(xi * width + yi + 1, np.int64)
-    a[[i * width + j for i, j in outer]] = list(outer.values())
-    b[[i * width + j for i, j in inner]] = list(inner.values())
-    product = np.convolve(a, b)
-    nonzero = np.flatnonzero(product)
-    i, j = np.divmod(nonzero, width)
-    return dict(zip(zip(i.tolist(), j.tolist()), product[nonzero].tolist()))
-
-
-def _pack(terms: IntTerms, width: int, n_slots: int, nbytes: int) -> int:
-    """The integer whose base-``2**(8*nbytes)`` digits are the coefficients.
-
-    Term ``(i, j)`` goes to slot ``i*width + j`` of ``n_slots``.  Positive
-    and negative coefficients are packed into separate buffers and combined
-    once.
-    """
-    pos = bytearray(n_slots * nbytes)
-    neg = bytearray(n_slots * nbytes)
-    for (i, j), c in terms.items():
-        off = (i * width + j) * nbytes
-        if c > 0:
-            pos[off : off + nbytes] = c.to_bytes(nbytes, "little")
-        else:
-            neg[off : off + nbytes] = (-c).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _mul_kronecker(
-    outer: IntTerms, inner: IntTerms, ext_outer: Extent, ext_inner: Extent
-) -> dict[Exponent, int]:
-    """Integer product by Kronecker substitution: one big-int multiply.
-
-    With ``width`` one more than the product's y-degree, no row of the
-    product spills into the next, so slot ``i*width + j`` of the packed product holds the
-    coefficient of ``x^i y^j``.  A bias of half a slot in every slot makes
-    each digit non-negative, so the product unpacks byte-wise; a slot that
-    holds the bias alone is a zero coefficient and is left out.
-    """
-    (xo, yo, mo), (xi, yi, mi) = ext_outer, ext_inner
-    width = yo + yi + 1
-    slot_bits = _slot_bits(mo, mi, len(inner))
-    nbytes = slot_bits // 8
-    n_slots = (xo + xi + 1) * width
-    product = _pack(outer, width, xo * width + yo + 1, nbytes) * _pack(
-        inner, width, xi * width + yi + 1, nbytes
-    )
-    half = 1 << (slot_bits - 1)
-    zero = bytes(nbytes - 1) + b"\x80"  # the bias alone
-    bias = int.from_bytes(zero * n_slots, "little")
-    raw = (product + bias).to_bytes(n_slots * nbytes, "little")
-    acc: dict[Exponent, int] = {}
-    for slot in range(n_slots):
-        digit = raw[slot * nbytes : (slot + 1) * nbytes]
-        if digit != zero:
-            acc[divmod(slot, width)] = int.from_bytes(digit, "little") - half
-    return acc
+    a = _limbs(outer, width, xo * width + yo + 1, s, k_o)
+    b = _limbs(inner, width, xi * width + yi + 1, s, k_i)
+    if k_o + k_i == 2:
+        product = np.convolve(a[0], b[0])
+    else:
+        sums = np.zeros((k_o + k_i - 1, (xo + xi + 1) * width), np.int64)
+        for u in range(k_o):
+            for v in range(k_i):
+                sums[u + v] += np.convolve(a[u], b[v])
+        product = sums[-1].astype(object)
+        for limb_sum in sums[-2::-1]:
+            product = (product << s) + limb_sum
+    slots = np.flatnonzero(product)
+    i, j = np.divmod(slots, width)
+    return dict(zip(zip(i.tolist(), j.tolist()), product[slots].tolist()))
 
 
 def _float_powers(v, n: int) -> list:

@@ -44,7 +44,10 @@ from darboux2d.families import (
     FAMILY_KEYS,
     PRESETS,
     _ORIGIN,
+    _ROOT_LAYOUT,
+    _WEIGHT_KEYS,
     _pole_B,
+    _roots,
     _weights_in_span,
     build_family,
     build_preset,
@@ -332,25 +335,23 @@ def _rand_poles(rng: random.Random, n: int, fixed: tuple = ()) -> tuple:
 
 
 def _draw_params(tag: str, rng: random.Random) -> dict:
-    """One randomized small-rational parameter set for a family."""
-    if tag == "B0":
-        p0, q0 = _rand_weight(rng)
-        return {"p0": p0, "q0": q0, "x0": _rand_fraction(rng),
-                "y0": _rand_fraction(rng), "C": _rand_positive(rng)}
-    if tag == "B1":
-        p0, q0 = _rand_weight(rng)
-        (x0, y0), (x1, y1) = _rand_poles(rng, 2)
-        return {"p0": p0, "q0": q0, "x0": x0, "y0": y0, "x1": x1, "y1": y1,
-                "C": _rand_positive(rng)}
-    if tag == "B2":
-        _, (x1, y1), (x2, y2) = _rand_poles(rng, 2, (_ORIGIN,))
-        return {"weights_choice": _rand_weight(rng), "x1": x1, "y1": y1, "x2": x2,
-                "y2": y2, "C": _rand_positive(rng)}
-    if tag == "B3":
-        p1, q1 = _rand_weight(rng)
-        _, (x1, y1) = _rand_poles(rng, 1, (_ORIGIN,))
-        return {"p1": p1, "q1": q1, "x1": x1, "y1": y1, "C": _rand_positive(rng)}
-    raise ValueError(tag)
+    """One randomized small-rational parameter set for a family: a weight
+    carried by a root, then the free poles, then B2's weights_choice, then C;
+    the keys in the order weight, poles, C (`_WEIGHT_KEYS`, `_ROOT_LAYOUT`)."""
+    index, weight_keys = _WEIGHT_KEYS[tag]
+    params = dict.fromkeys(weight_keys)
+    if index is not None:
+        params.update(zip(weight_keys, _rand_weight(rng)))
+    layout = _ROOT_LAYOUT[tag]
+    fixed = tuple(_ORIGIN for keys, _ in layout if keys is None)
+    # pinned roots lead every layout, as the fixed poles lead what _rand_poles returns
+    for (keys, _), pole in zip(layout, _rand_poles(rng, len(layout) - len(fixed), fixed)):
+        if keys:
+            params.update(zip(keys, pole))
+    if index is None:
+        params["weights_choice"] = _rand_weight(rng)
+    params["C"] = _rand_positive(rng)
+    return params
 
 
 def _params_text(params: dict) -> dict:
@@ -651,20 +652,18 @@ def _run_smooth(key: str, seed: int) -> ResidualReport:
     return _report(name, "exact", worst >= C, detail, _params_text(params), seed)
 
 
-# dim target -> (the preset whose poles are the first pole set, the poles
-# every set pins); each set adds two free poles
-_DIM_POLES = {"b1": ("tsarev-1", ()), "b2": ("tsarev-2", (_ORIGIN,))}
+# dim target -> the preset whose poles are the first pole set; every set
+# pins the preset's family's pinned poles and adds two free ones
+_DIM_PRESETS = {"b1": "tsarev-1", "b2": "tsarev-2"}
 
 
 def _run_dim(key: str, seed: int) -> ResidualReport:
     name = f"dim:{key}"
     rng = random.Random(f"{seed}:{name}")
-    preset, fixed = _DIM_POLES[key]
-    params = PRESETS[preset].params
-    # pole i of a family is (x_i, y_i), counting the pinned poles first
-    free = range(len(fixed), len(fixed) + 2)
-    pole_sets = [(*fixed, *((params[f"x{i}"], params[f"y{i}"]) for i in free))]
-    pole_sets += [_rand_poles(rng, 2, fixed) for _ in range(3)]
+    preset = PRESETS[_DIM_PRESETS[key]]
+    poles = tuple(pole for pole, _ in _roots(preset.family_tag, preset.params))
+    fixed = poles[:-2]
+    pole_sets = [poles] + [_rand_poles(rng, 2, fixed) for _ in range(3)]
     cases = []
     for poles in pole_sets:
         basis = laplace_constrained_numerator(poles)

@@ -23,11 +23,9 @@ from darboux2d.polyrat import (
     RatFn,
     _convolution_pays,
     _extent,
-    _kronecker_pays,
+    _limb_plan,
     _mul_int64,
-    _mul_kronecker,
     _mul_schoolbook,
-    _slot_bits,
     as_fraction,
     laplacian,
     over_one_denominator,
@@ -448,13 +446,13 @@ def test_ratfn_matches_quotient_rule_oracle(program):
         oracles.append((n, d))
 
 
-# -- the three multiply paths -------------------------------------------------
+# -- the two multiply paths --------------------------------------------------
 #
-# All src paths key terms by packed integers, so none is an independent
-# oracle for another.  `_naive_product` (tuple keys, one dict update per
-# pair of terms) is: the schoolbook, the Kronecker path and, wherever the
-# slot fits 64 bits, the int64 convolution must each return its nonzero
-# terms.  Term order is free; `eval_float` sums in sorted key order.
+# Both src paths key terms by packed integers, so neither is an independent
+# oracle for the other.  `_naive_product` (tuple keys, one dict update per
+# pair of terms) is: the schoolbook and the int64 convolution, on one limb
+# or many, must each return its nonzero terms.  Term order is free;
+# `eval_float` sums in sorted key order.
 
 _small_ints = st.integers(min_value=-9, max_value=9).filter(bool)
 _huge_ints = st.builds(
@@ -502,30 +500,25 @@ def _ordered(outer, inner):
     return (outer, inner) if len(outer) >= len(inner) else (inner, outer)
 
 
+def _plan(outer, inner):
+    return _limb_plan(_extent(outer)[2], _extent(inner)[2], len(inner))
+
+
 def _pays(outer, inner):
-    return _kronecker_pays(len(outer), len(inner), _extent(outer), _extent(inner))
+    return _convolution_pays(outer, inner, _extent(outer), _extent(inner), _plan(outer, inner))
 
 
-def _kronecker(outer, inner):
-    return _mul_kronecker(outer, inner, _extent(outer), _extent(inner))
+def _int64(outer, inner, plan=None):
+    plan = plan or _plan(outer, inner)
+    return _mul_int64(outer, inner, _extent(outer), _extent(inner), plan)
 
 
 def _schoolbook(outer, inner):
     return _mul_schoolbook(outer, inner, _extent(outer), _extent(inner))
 
 
-def _int64(outer, inner):
-    return _mul_int64(outer, inner, _extent(outer), _extent(inner))
-
-
-def _fits_int64(outer, inner):
-    return _slot_bits(_extent(outer)[2], _extent(inner)[2], len(inner)) <= 64
-
-
-def _convolves(outer, inner):
-    return _fits_int64(outer, inner) and _convolution_pays(
-        outer, inner, _extent(outer), _extent(inner)
-    )
+def _one_limb(outer, inner):
+    return _plan(outer, inner)[1:] == (1, 1)
 
 
 def _naive_product(a: dict, b: dict) -> dict:
@@ -541,9 +534,7 @@ def _naive_product(a: dict, b: dict) -> dict:
 def _assert_paths_agree(outer, inner):
     oracle = _naive_product(outer, inner)
     assert _schoolbook(outer, inner) == oracle
-    assert _kronecker(outer, inner) == oracle
-    if _fits_int64(outer, inner):
-        assert _int64(outer, inner) == oracle
+    assert _int64(outer, inner) == oracle
 
 
 # every default phase but shrink (and explain, which needs it): shrinking
@@ -553,16 +544,16 @@ NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 @given(int_terms(), int_terms())
 @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
-def test_kronecker_matches_schoolbook(a, b):
+def test_dense_path_matches_schoolbook(a, b):
     _assert_paths_agree(*_ordered(a, b))
 
 
 @given(telescoping())
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
-def test_kronecker_matches_schoolbook_under_cancellation(pair):
+def test_dense_path_matches_schoolbook_under_cancellation(pair):
     n = max(i for i, _ in pair[0])
     outer, inner = _ordered(*pair)
-    product = _kronecker(outer, inner)
+    product = _int64(outer, inner)
     # (1 - x^(n+1)) r(y) t(y): the middle x-powers cancel and are left out
     assert {i for i, _ in product} == {0, n + 1}
     _assert_paths_agree(outer, inner)
@@ -609,7 +600,7 @@ def one_variable(draw, var):
 )
 @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 def test_both_paths_match_the_naive_product_in_one_variable(a, b):
-    # two x-only operands pack with width == 1: the key is the x-exponent
+    # two x-only operands have width == 1: the slot is the x-exponent
     _assert_paths_agree(*_ordered(a, b))
 
 
@@ -624,7 +615,7 @@ def far_apart(draw):
 @given(far_apart(), far_apart())
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 def test_schoolbook_matches_the_naive_product_on_sparse_high_exponents(a, b):
-    # the Kronecker path would pack millions of empty slots here, and the
+    # the convolution would place millions of empty slots here, and the
     # cost model never picks it
     outer, inner = _ordered(a, b)
     assert not _pays(outer, inner)
@@ -659,7 +650,7 @@ def signed_terms(draw, max_exp=12, max_terms=60):
 @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 def test_int64_path_matches_the_naive_product_on_negative_coefficients(a, b):
     outer, inner = _ordered(a, b)
-    assert _fits_int64(outer, inner)
+    assert _one_limb(outer, inner)
     _assert_paths_agree(outer, inner)
     assert (BiPoly(outer) * BiPoly(inner)).terms == _naive_product(outer, inner)
 
@@ -693,28 +684,119 @@ def _raise_if_called(*args):
 
 @given(slot_bound_edges())
 @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
-def test_int64_path_is_exact_up_to_the_slot_bound_and_not_taken_above(pair):
+def test_int64_path_is_one_limb_below_the_slot_bound_and_limbs_above(pair):
     outer, inner = pair
     bound = _extent(outer)[2] * _extent(inner)[2] * len(inner)
     oracle = _naive_product(outer, inner)
     if bound < 2**63:
-        assert _fits_int64(outer, inner)
+        assert _one_limb(outer, inner)
         assert max(map(abs, oracle.values())) > 2**62
-        _assert_paths_agree(outer, inner)
     else:
-        assert not _fits_int64(outer, inner)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyrat, "_mul_int64", _raise_if_called)
-            assert (BiPoly(outer) * BiPoly(inner)).terms == oracle
+        assert max(_plan(outer, inner)[1:]) > 1
+    _assert_paths_agree(outer, inner)
+    assert (BiPoly(outer) * BiPoly(inner)).terms == oracle
 
 
 def test_guard_int64_product_needs_the_slot_bound():
-    # coefficients fit int64, their products do not: the convolution wraps
+    # coefficients fit int64, their products do not: one limb wraps
     a = {(k, 0): 2**40 + k for k in range(8)}
     b = {(k, 1): -(2**40) - 3 * k for k in range(8)}
-    assert not _fits_int64(a, b)
+    assert not _one_limb(a, b)
     oracle = _naive_product(a, b)
-    assert _int64(a, b) != oracle
+    assert _int64(a, b, (41, 1, 1)) != oracle
+    assert _int64(a, b) == oracle
+    assert (BiPoly(a) * BiPoly(b)).terms == oracle
+
+
+def _limb_fixed_point(n: int, u_a: int, u_b: int) -> int:
+    """The limb width ``s`` at which operands whose largest coefficients
+    have ``u_a*s`` and ``u_b*s`` bits get exactly ``u_a`` and ``u_b`` limbs
+    of ``s`` bits from :func:`_limb_plan`."""
+    s = (63 - n.bit_length()) // 2
+    while True:
+        plan = _limb_plan(2 ** (u_a * s) - 1, 2 ** (u_b * s) - 1, n)
+        if plan == (s, u_a, u_b):
+            return s
+        s = plan[0] if plan[1:] != (1, 1) else s - 1
+
+
+_limb_counts = st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda u: max(u) > 1)
+
+
+@st.composite
+def limb_edges(draw):
+    """Dense-ish operands, signs mixed, each with its largest coefficient
+    ``2**(u*s) - 1`` (all ``u`` limbs full) and the others at limb edges:
+    ``2**s - 1``, ``2**s``, and ``2**(j*s)`` or one less for every limb
+    boundary ``j*s`` below the top.  ``u`` may be 1 on one side, a one-limb
+    operand times a many-limb one."""
+    n = draw(st.integers(1, 30))
+    u_a, u_b = draw(_limb_counts)
+    s = _limb_fixed_point(n, u_a, u_b)
+    pair = []
+    for size, u in ((draw(st.integers(n, 45)), u_a), (n, u_b)):
+        top = 2 ** (u * s) - 1
+        edges = [2**s - 1, top] + [2 ** (j * s) - d for j in range(1, u) for d in (0, 1)]
+        coeff = st.builds(operator.mul, st.sampled_from(edges), st.sampled_from([1, -1]))
+        keys = draw(
+            st.lists(
+                st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+        pair.append({key: draw(coeff) for key in keys} | {keys[0]: draw(st.sampled_from([1, -1])) * top})
+    return pair, (s, u_a, u_b)
+
+
+@given(limb_edges())
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+def test_limb_path_matches_the_naive_product_at_limb_edges(drawn):
+    (outer, inner), plan = drawn
+    assert _plan(outer, inner) == plan
+    _assert_paths_agree(outer, inner)
+    assert (BiPoly(outer) * BiPoly(inner)).terms == _naive_product(outer, inner)
+
+
+@st.composite
+def full_limb_runs(draw):
+    """Runs in one variable of one coefficient each, every limb full, so the
+    middle limb sums attain the plan's bound ``min(k_a, k_b)*n*(2**s - 1)**2``."""
+    n = draw(st.integers(1, 40))
+    u_a, u_b = draw(_limb_counts)
+    s = _limb_fixed_point(n, u_a, u_b)
+    signs = draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))
+    sizes = (draw(st.integers(n, 60)), n)
+    return [
+        {(k, 0): sign * (2 ** (u * s) - 1) for k in range(size)}
+        for size, u, sign in zip(sizes, (u_a, u_b), signs)
+    ]
+
+
+@given(full_limb_runs())
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+def test_limb_sums_reach_just_below_the_bound_and_one_bit_wider_is_above(pair):
+    outer, inner = pair
+    n = len(inner)
+    s, k_a, k_b = _plan(outer, inner)
+    assert 2**60 < min(k_a, k_b) * n * (2**s - 1) ** 2 < 2**63
+    if s < (63 - n.bit_length()) // 2:  # the plan lowered s: s + 1 breaks the bound
+        wider = min(-(-_extent(p)[2].bit_length() // (s + 1)) for p in pair)
+        assert wider * n * (2 ** (s + 1) - 1) ** 2 >= 2**63
+    _assert_paths_agree(outer, inner)
+
+
+def test_guard_limb_plan_needs_its_bound():
+    # every limb of 2**90 - 1 is full in 30-bit limbs, and 3 * 8 * (2**30 -
+    # 1)**2 >= 2**63: a plan one bit wider than the route's wraps
+    top = 2**90 - 1
+    a = {(k, 0): top for k in range(12)}
+    b = {(k, 0): -top for k in range(8)}
+    assert _plan(a, b) == (29, 4, 4)
+    assert 3 * 8 * (2**30 - 1) ** 2 >= 2**63
+    oracle = _naive_product(a, b)
+    assert _int64(a, b, (30, 3, 3)) != oracle
     assert (BiPoly(a) * BiPoly(b)).terms == oracle
 
 
@@ -723,7 +805,7 @@ def test_sparse_high_degree_operands_stay_off_the_convolution(monkeypatch):
     # 32 million slots each: convolving them would take hours
     a = {(250 * k, 4000 - 250 * k): k + 1 for k in range(16)}
     b = {(4000 - 240 * k, 60 * k + 1): 2 * k - 7 for k in range(16)}
-    assert _fits_int64(a, b) and not _convolves(a, b)
+    assert _one_limb(a, b) and not _pays(a, b)
     monkeypatch.setenv("DARBOUX_EXP_CAP", "8000")
     monkeypatch.setattr(np, "convolve", _raise_if_called)
     start = time.perf_counter()
@@ -766,7 +848,7 @@ def test_cutover_takes_each_path():
     assert _fractions(pa * pb) == _fraction_oracle(pa, pb)
 
 
-def test_kronecker_degree_40_full_triangle():
+def test_dense_path_degree_40_full_triangle():
     a = _dense(40, lambda i, j: (i * 31 + j * 17) % 23 - 11 or 5)
     b = _dense(40, lambda i, j: (i * 13 - j * 7) % 19 - 9 or -3)
     assert _pays(a, b)
@@ -778,16 +860,16 @@ def test_kronecker_degree_40_full_triangle():
     assert product.eval(*point) == pa.eval(*point) * pb.eval(*point)
 
 
-def test_kronecker_checks_exponent_cap_before_packing(monkeypatch):
+def test_dense_path_checks_exponent_cap_before_allocating(monkeypatch):
     dense = _dense(6, lambda i, j: i + 2 * j + 1)
     assert _pays(dense, dense)
     p = BiPoly(dense)
     monkeypatch.setenv("DARBOUX_EXP_CAP", "8")
 
-    def no_packing(*args):
-        raise AssertionError("packed before the exponent cap was checked")
+    def no_arrays(*args):
+        raise AssertionError("allocated before the exponent cap was checked")
 
-    monkeypatch.setattr(polyrat, "_pack", no_packing)
+    monkeypatch.setattr(np, "zeros", no_arrays)
     with pytest.raises(ExponentCapError, match="x\\^12 exceeds exponent cap 8"):
         p * p
 
@@ -842,12 +924,12 @@ def dense_polys(draw, degree=8):
 @given(polys(), polys(), dense_polys(), dense_polys(), _coeffs, st.integers(0, 3))
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 def test_guard_every_operation_returns_the_canonical_form(p, q, a, b, c, n):
-    # p * q stays on the schoolbook path, a * b goes through the int64
-    # convolution and a * wide, with coefficients past 64 bits, through Kronecker
+    # p * q stays on the schoolbook path, a * b goes through one int64
+    # convolution and a * wide, with coefficients past 64 bits, through limbs
     wide = b * 2**70
     assert p.n_terms * q.n_terms < polyrat._DENSE_MIN_PAIRS
-    assert _convolves(a.terms, b.terms)
-    assert not _fits_int64(a.terms, wide.terms) and _pays(a.terms, wide.terms)
+    assert _one_limb(a.terms, b.terms) and _pays(a.terms, b.terms)
+    assert not _one_limb(a.terms, wide.terms) and _pays(a.terms, wide.terms)
     results = [
         p, q, a, BiPoly.const(c), p + q, p + p, p + c, p - q, p - p, c - p, -p,
         p * q, a * b, a * wide, p * c, c * p, p * Fraction(3, 2), p**n, p.diff("x"),
