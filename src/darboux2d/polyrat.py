@@ -54,7 +54,7 @@ import numpy as np
 
 Exponent = tuple[int, int]
 IntTerms = Mapping[Exponent, int]
-Extent = tuple[int, int, int]  # x-degree, y-degree, largest |coefficient|
+Extent = tuple[int, int]  # x-degree, y-degree
 Plan = tuple[int, int, int]  # limb bits s, limbs per coefficient k_a, k_b
 Scalar = Union[int, Fraction, str]
 
@@ -344,8 +344,9 @@ def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
 
     The schoolbook takes small or sparse operands and the int64 limb
     convolutions (:func:`_mul_int64`) dense ones, as one cost model
-    (:func:`_convolution_pays`) picks.  Each operand is scanned once
-    (:func:`_extent`) for the exponent cap and the paths' sizes.
+    (:func:`_convolution_pays`) picks.  Each operand's degrees
+    (:func:`_extent`) serve the exponent cap and the paths' sizes; its
+    largest coefficient is read only where the cost model is evaluated.
     """
     if not a or not b:
         return {}
@@ -356,8 +357,9 @@ def _mul_terms(a: IntTerms, b: IntTerms) -> dict[Exponent, int]:
     # dy(a) + dy(b), so this raises exactly when the result would
     _check_cap(((ext_a[0] + ext_b[0], 0), (0, ext_a[1] + ext_b[1])))
     if len(a) * len(b) >= _DENSE_MIN_PAIRS:
-        plan = _limb_plan(ext_a[2], ext_b[2], len(b))
-        if _convolution_pays(a, b, ext_a, ext_b, plan):
+        top_a, top_b = max(map(abs, a.values())), max(map(abs, b.values()))
+        plan = _limb_plan(top_a, top_b, len(b))
+        if _convolution_pays(a, b, ext_a, ext_b, top_a, top_b, plan):
             return _mul_int64(a, b, ext_a, ext_b, plan)
     return _mul_schoolbook(a, b, ext_a, ext_b)
 
@@ -389,9 +391,9 @@ _DENSE_MIN_PAIRS = 256
 
 
 def _extent(terms: IntTerms) -> Extent:
-    """Degree in x, degree in y and largest coefficient magnitude."""
+    """Degree in x and degree in y."""
     # the lexicographically largest key has the largest x-exponent
-    return max(terms)[0], max(map(itemgetter(1), terms)), max(map(abs, terms.values()))
+    return max(terms)[0], max(map(itemgetter(1), terms))
 
 
 def _limb_plan(max_a: int, max_b: int, n: int) -> Plan:
@@ -412,7 +414,9 @@ def _limb_plan(max_a: int, max_b: int, n: int) -> Plan:
     return s, -(-bits_a // s), -(-bits_b // s)
 
 
-def _convolution_pays(a: IntTerms, b: IntTerms, ext_a: Extent, ext_b: Extent, plan: Plan) -> bool:
+def _convolution_pays(
+    a: IntTerms, b: IntTerms, ext_a: Extent, ext_b: Extent, top_a: int, top_b: int, plan: Plan
+) -> bool:
     """Cost model in ns: are the limb convolutions cheaper than the pair loop?
 
     Fitted on the operand pairs of the seed-7 suite and of the closure
@@ -420,7 +424,8 @@ def _convolution_pays(a: IntTerms, b: IntTerms, ext_a: Extent, ext_b: Extent, pl
     pay 4,000 + 4,000 per convolution + 72 per limb placed + 0.36 per pair of
     limb slots, empty ones included, + 75 per product slot per limb sum past
     the first; the schoolbook pays ``100 + 3*(d_a*d_b - 1)`` per pair of
-    terms, ``d`` the 30-bit digits of each operand's largest coefficient.
+    terms, ``d`` the 30-bit digits of each operand's largest coefficient
+    magnitude (``top_a``, ``top_b``).
     """
     _, k_a, k_b = plan
     width = ext_a[1] + ext_b[1] + 1
@@ -428,7 +433,7 @@ def _convolution_pays(a: IntTerms, b: IntTerms, ext_a: Extent, ext_b: Extent, pl
     limbs = 4000 * k_a * k_b + 72 * (len(a) * k_a + len(b) * k_b)
     slot_pairs = 0.36 * k_a * k_b * slots_a * slots_b
     recombine = 75 * (k_a + k_b - 2) * (slots_a + slots_b - 1)
-    d_a, d_b = -(-ext_a[2].bit_length() // 30), -(-ext_b[2].bit_length() // 30)
+    d_a, d_b = -(-top_a.bit_length() // 30), -(-top_b.bit_length() // 30)
     return 4000 + limbs + slot_pairs + recombine < len(a) * len(b) * (100 + 3 * (d_a * d_b - 1))
 
 
@@ -461,7 +466,7 @@ def _mul_int64(
     ints.  Exact only under the bound of :func:`_limb_plan`, which keeps
     every partial sum below ``2**63``.
     """
-    (xo, yo, _), (xi, yi, _) = ext_outer, ext_inner
+    (xo, yo), (xi, yi) = ext_outer, ext_inner
     s, k_o, k_i = plan
     width = yo + yi + 1
     a = _limbs(outer, width, xo * width + yo + 1, s, k_o)
@@ -517,7 +522,8 @@ class RatFn:
       * division turns the divisor's ``poly`` into a factor;
       * a sum lifts both operands to the exponent-wise minimum;
       * ``diff`` lowers the exponent of each factor that depends on the
-        variable by one (the quotient rule, factor by factor).
+        variable by one, and the new ``poly`` is ``poly' Phi + poly Psi``
+        (the quotient rule, with ``Phi`` and ``Psi`` built from the factors).
 
     Factors match by identity or by equal value.  No cancellation between
     ``poly`` and the factors is attempted (there is no multivariate gcd here,
@@ -648,25 +654,26 @@ class RatFn:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "RatFn":
-        """Quotient rule over the factors.
+        """Quotient rule over the factors, with ``poly`` in two products.
 
-        With ``P_k = poly * f_1 ... f_k`` over the factors that depend on
-        ``var``, the new ``poly`` is built as ``t_k = t_(k-1) f_k +
-        e_k f_k' P_(k-1)`` from ``t_0 = poly'``, and each of those factors
-        loses one power.
+        Over the factors ``f_k`` (exponents ``e_k``) that depend on ``var``,
+        ``Phi = prod f_k`` and ``Psi = sum e_k f_k' prod_(j != k) f_j`` are
+        built from the factors alone, as ``Psi <- Psi f + Phi e f'`` and
+        then ``Phi <- Phi f``.  The new ``poly`` is ``poly' Phi + poly Psi``,
+        and each of those factors loses one power.
         """
-        slopes = [f.diff(var) for f, _ in self.factors]
-        last = max((k for k, df in enumerate(slopes) if df.terms), default=-1)
-        top, run = self.poly.diff(var), self.poly
+        top, phi, psi = self.poly.diff(var), None, None
         factors = []
-        for k, ((f, e), df) in enumerate(zip(self.factors, slopes)):
+        for f, e in self.factors:
+            df = f.diff(var)
             if df.terms:
-                top = top * f + run * (df * e)
-                if k < last:
-                    run = run * f
+                df = df * e
+                psi, phi = (df, f) if phi is None else (psi * f + phi * df, phi * f)
                 e -= 1
             if e:
                 factors.append((f, e))
+        if phi is not None:
+            top = top * phi + self.poly * psi
         return RatFn._of(top, factors)
 
     # -- evaluation --------------------------------------------------------

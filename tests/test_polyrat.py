@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from darboux2d import polyrat
@@ -446,6 +446,81 @@ def test_ratfn_matches_quotient_rule_oracle(program):
         oracles.append((n, d))
 
 
+# -- the derivative against the incremental quotient rule --------------------
+#
+# `RatFn.diff` meets `poly` in two products, `poly' Phi + poly Psi`.  The
+# oracle is the factor-by-factor quotient rule, `t_k = t_(k-1) f_k +
+# e_k f_k' P_(k-1)` with `P_k = poly f_1 ... f_k`.  Both build the same
+# polynomial, so its canonical form is the same term for term, and the
+# factors are the same objects with the same exponents.
+
+
+def _incremental_diff(f: RatFn, var: str) -> RatFn:
+    top, run = f.poly.diff(var), f.poly
+    factors = []
+    for g, e in f.factors:
+        dg = g.diff(var)
+        if dg.terms:
+            top = top * g + run * (dg * e)
+            run = run * g
+            e -= 1
+        if e:
+            factors.append((g, e))
+    return RatFn._of(top, factors)
+
+
+def _assert_same_form(got: RatFn, want: RatFn) -> None:
+    assert got.poly.terms == want.poly.terms and got.poly.denom == want.poly.denom
+    assert len(got.factors) == len(want.factors)
+    for (g, e), (h, k) in zip(got.factors, want.factors):
+        assert g is h and e == k
+
+
+def _in_one_variable(var: str):
+    """Nonzero polynomials of degree at most 2 in ``var`` alone."""
+    key = (lambda k: (k, 0)) if var == "x" else (lambda k: (0, k))
+    coeffs = st.lists(_coeffs, min_size=1, max_size=3)
+    return coeffs.map(lambda cs: BiPoly({key(k): c for k, c in enumerate(cs)})).filter(bool)
+
+
+_factor_polys = {
+    "xy": polys(max_terms=3, max_exp=2).filter(bool),
+    "x": _in_one_variable("x"),
+    "y": _in_one_variable("y"),
+}
+
+
+@st.composite
+def factored_ratfns(draw):
+    """0-4 factors with exponents in {-3, -2, -1, 1, 2}: general, in x
+    alone, in y alone, an earlier factor object again, or an equal copy."""
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["xy", "x", "y", "same", "equal"][: 5 if factors else 3]))
+        if kind in ("same", "equal"):
+            g = draw(st.sampled_from([g for g, _ in factors]))
+            g = g if kind == "same" else BiPoly(_fractions(g))
+        else:
+            g = draw(_factor_polys[kind])
+        factors.append((g, draw(st.sampled_from([-3, -2, -1, 1, 2]))))
+    return RatFn._of(draw(polys(max_terms=4, max_exp=3)), factors)
+
+
+# one factor object twice, and a copy equal to it by value
+_shared = X * X - 2 * X * Y + Y + 1
+_repeated = ((_shared, -2), (Y * Y + 3, 2), (_shared, 1), (BiPoly(_fractions(_shared)), -1))
+
+
+@given(factored_ratfns())
+@example(RatFn._of(X * Y - 2, _repeated))
+@settings(max_examples=100, deadline=None)
+def test_diff_matches_the_incremental_quotient_rule(f):
+    for var in ("x", "y"):
+        _assert_same_form(f.diff(var), _incremental_diff(f, var))
+    twice = [_incremental_diff(_incremental_diff(f, var), var) for var in ("x", "y")]
+    _assert_same_form(laplacian(f), twice[0] + twice[1])
+
+
 # -- the two multiply paths --------------------------------------------------
 #
 # Both src paths key terms by packed integers, so neither is an independent
@@ -500,12 +575,19 @@ def _ordered(outer, inner):
     return (outer, inner) if len(outer) >= len(inner) else (inner, outer)
 
 
+def _top(terms):
+    """The largest coefficient magnitude."""
+    return max(map(abs, terms.values()))
+
+
 def _plan(outer, inner):
-    return _limb_plan(_extent(outer)[2], _extent(inner)[2], len(inner))
+    return _limb_plan(_top(outer), _top(inner), len(inner))
 
 
 def _pays(outer, inner):
-    return _convolution_pays(outer, inner, _extent(outer), _extent(inner), _plan(outer, inner))
+    return _convolution_pays(
+        outer, inner, _extent(outer), _extent(inner), _top(outer), _top(inner), _plan(outer, inner)
+    )
 
 
 def _int64(outer, inner, plan=None):
@@ -686,7 +768,7 @@ def _raise_if_called(*args):
 @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 def test_int64_path_is_one_limb_below_the_slot_bound_and_limbs_above(pair):
     outer, inner = pair
-    bound = _extent(outer)[2] * _extent(inner)[2] * len(inner)
+    bound = _top(outer) * _top(inner) * len(inner)
     oracle = _naive_product(outer, inner)
     if bound < 2**63:
         assert _one_limb(outer, inner)
@@ -782,7 +864,7 @@ def test_limb_sums_reach_just_below_the_bound_and_one_bit_wider_is_above(pair):
     s, k_a, k_b = _plan(outer, inner)
     assert 2**60 < min(k_a, k_b) * n * (2**s - 1) ** 2 < 2**63
     if s < (63 - n.bit_length()) // 2:  # the plan lowered s: s + 1 breaks the bound
-        wider = min(-(-_extent(p)[2].bit_length() // (s + 1)) for p in pair)
+        wider = min(-(-_top(p).bit_length() // (s + 1)) for p in pair)
         assert wider * n * (2 ** (s + 1) - 1) ** 2 >= 2**63
     _assert_paths_agree(outer, inner)
 

@@ -476,3 +476,32 @@ def test_report_json_shape():
 def test_residual_report_passed_property():
     rep = ResidualReport(check_name="x", mode="exact", verdict="pass", detail={})
     assert rep.passed and rep.to_json()["max_residual"] is None
+
+
+def _diff_dropping_cross_terms(self, var):
+    """``RatFn.diff`` whose ``Psi`` drops ``Phi e f'`` for every factor that
+    depends on ``var`` after the first."""
+    top, phi, psi = self.poly.diff(var), None, None
+    factors = []
+    for f, e in self.factors:
+        df = f.diff(var)
+        if df.terms:
+            psi, phi = (df * e, f) if phi is None else (psi * f, phi * f)
+            e -= 1
+        if e:
+            factors.append((f, e))
+    if phi is not None:
+        top = top * phi + self.poly * psi
+    return RatFn._of(top, factors)
+
+
+def test_guard_transform_fails_when_diff_drops_a_cross_term(monkeypatch):
+    # every Y~, W~ and Q~ of b1 has the factors |P'|^2 and D; the derivatives
+    # of transform:b0 and of eq12:b0/b1 have one factor each, so only b1
+    # takes the multi-factor path
+    targets = ["eq12:b0", "eq12:b1", "transform:b0", "transform:b1"]
+    assert [rep.verdict for rep in run_suite(targets, 7)] == ["pass"] * 4
+    monkeypatch.setattr(RatFn, "diff", _diff_dropping_cross_terms)
+    reports = {rep.check_name: rep for rep in run_suite(targets, 7)}
+    assert [reports[t].verdict for t in targets] == ["pass", "pass", "pass", "fail"]
+    assert [c["verdict"] for c in reports["transform:b1"].detail["cases"]] == ["fail"] * 8
