@@ -58,7 +58,8 @@ class CliError(Exception):
         self.kind = kind
 
 
-def _parse_axis(text: str) -> tuple[float, float, int]:
+def _parse_axis(text: str) -> list[float]:
+    """The ``count`` evenly spaced points of an axis ``lo:hi:count``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError("invalid-grid", f"axis must be lo:hi:count, got {text!r}")
@@ -73,7 +74,11 @@ def _parse_axis(text: str) -> tuple[float, float, int]:
         raise CliError("invalid-grid", "a single-point axis requires lo == hi")
     if count > 1 and not lo < hi:
         raise CliError("invalid-grid", "axis range must have lo < hi")
-    return lo, hi, count
+    if count == 1:
+        return [lo]
+    if math.isinf(hi - lo):  # finite ends whose span overflows a double
+        return [lo * (1 - i / (count - 1)) + hi * (i / (count - 1)) for i in range(count)]
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
 def _load_params(text: str | None) -> dict:
@@ -209,9 +214,13 @@ def _print_progress(name: str, report, seconds: float) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    targets = [t.strip() for t in (args.targets or "").split(",") if t.strip()]
     try:
-        targets = targets or targets_for_family(args.family or "all")
+        if args.targets is None:
+            targets = targets_for_family(args.family or "all")
+        else:
+            targets = [t.strip() for t in args.targets.split(",") if t.strip()]
+            if not targets:
+                raise ValueError(f"--targets names no target: {args.targets!r}")
         check_targets(targets)
     except ValueError as exc:
         raise CliError("invalid-params", str(exc)) from None
@@ -297,10 +306,7 @@ def _row_sampler(family: str, field: str, raw: dict, xs: list[float]) -> Callabl
 
 def cmd_grid(args: argparse.Namespace) -> int:
     raw = _load_params(args.params)
-    x_lo, x_hi, nx = _parse_axis(args.x)
-    y_lo, y_hi, ny = _parse_axis(args.y)
-    xs = [x_lo + (x_hi - x_lo) * i / (nx - 1) if nx > 1 else x_lo for i in range(nx)]
-    ys = [y_lo + (y_hi - y_lo) * j / (ny - 1) if ny > 1 else y_lo for j in range(ny)]
+    xs, ys = _parse_axis(args.x), _parse_axis(args.y)
     if not all(map(math.isfinite, xs + ys)):
         raise CliError("invalid-grid", "every grid point must be a finite float")
     f = _row_sampler(args.family, args.field, raw, xs)

@@ -84,35 +84,24 @@ def R_coeffs(B: RatFn) -> tuple[RatFn, RatFn]:
     return R1, R2
 
 
-def _apply_LD_with(
-    B: RatFn, R1: RatFn, R2: RatFn, F: tuple[RatFn, RatFn]
-) -> tuple[RatFn, RatFn]:
-    F1, F2 = F
-    first = B * R1 * F1 - B * F1.diff("y") + B * R2 * F2
-    second = (
-        (B.diff("x") - B * R2) * F1
-        + (B.diff("y") + B * R1) * F2
-        - B * F2.diff("y")
-    )
-    return first, second
-
-
 def transform_solution(
     B: RatFn, seed: HarmonicPair, R: tuple[RatFn, RatFn] | None = None
 ) -> TransformOutput:
     """Transform a seed pair into a solution of the new equation.
 
-    The seed system is enforced by the `HarmonicPair` type itself, so any
-    value that reaches this function already satisfies it exactly.  ``R``
-    is the pair (R1, R2) to use, by default ``R_coeffs(B)``; a caller that
-    passes another form of it (`families.closed_R`) certifies its equality
-    with ``R_coeffs(B)`` itself.
+    (W~, Q~) is L applied to the seed (Y, Q), entry by entry as the module
+    docstring writes L.  The seed system is enforced by the `HarmonicPair`
+    type itself, so any value that reaches this function already satisfies
+    it exactly.  ``R`` is the pair (R1, R2) to use, by default
+    ``R_coeffs(B)``; a caller that passes another form of it
+    (`families.closed_R`) certifies its equality with ``R_coeffs(B)`` itself.
     """
     R1, R2 = R_coeffs(B) if R is None else R
     Yp = RatFn.from_poly(seed.Y)
     Qp = RatFn.from_poly(seed.Q)
     Y_tilde = R1 * Yp - Yp.diff("y") + R2 * Qp
-    W_tilde, Q_tilde = _apply_LD_with(B, R1, R2, (Yp, Qp))
+    W_tilde = B * R1 * Yp - B * Yp.diff("y") + B * R2 * Qp
+    Q_tilde = (B.diff("x") - B * R2) * Yp + (B.diff("y") + B * R1) * Qp - B * Qp.diff("y")
     return TransformOutput(Y_tilde=Y_tilde, W_tilde=W_tilde, Q_tilde=Q_tilde)
 
 

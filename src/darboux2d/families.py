@@ -173,11 +173,6 @@ def _pole_coeffs(roots) -> list[tuple[Fraction, Fraction]]:
     return coeffs
 
 
-def _dz(coeffs: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Coefficients of P' from those of P, in the same order."""
-    return [(k * re, k * im) for k, (re, im) in enumerate(coeffs)][1:]
-
-
 def _re_im(coeffs: list[tuple[Fraction, Fraction]]) -> tuple[BiPoly, BiPoly]:
     """(Re, Im) of sum a_k z^k, z = x + iy, as polynomials in x and y."""
     re = im = ZERO
@@ -367,7 +362,8 @@ def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatF
     R2 + i R1 = B_zz/B_z.  With B = Re(mu P)/D and D = |P|^2 + C,
     B_z = P' (mu C - conj(mu) conj(P)^2)/(2 D^2), whose middle factor is
     antiholomorphic, so R2 + i R1 = P''/P' - 2 P' conj(P)/D: neither mu nor
-    |grad B|^2 appears.  With P = e + if, P' = a + ib and P'' = c + id,
+    |grad B|^2 appears.  With P = e + if, P' = P_x = a + ib and
+    P'' = P_xx = c + id (P is holomorphic),
 
         R2 = (ac + bd)/(a^2 + b^2) - 2 (ae + bf)/D,
         R1 = (ad - bc)/(a^2 + b^2) - 2 (be - af)/D.
@@ -378,15 +374,13 @@ def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatF
     `transform:*` targets certify it against `darboux.R_coeffs(B)`.
     """
     roots, C = _pole_data(family_tag, params)
-    coeffs = _pole_coeffs(roots)
-    slopes = _dz(coeffs)
-    e, f = _re_im(coeffs)
-    a, b = _re_im(slopes)
+    e, f = _re_im(_pole_coeffs(roots))
+    a, b = e.diff("x"), f.diff("x")
     D = e * e + f * f + C
     R1 = RatFn(-2 * (b * e - a * f), D)
     R2 = RatFn(-2 * (a * e + b * f), D)
-    if len(slopes) > 1:
-        c, d = _re_im(_dz(slopes))
+    c, d = a.diff("x"), b.diff("x")
+    if c or d:
         g = a * a + b * b
         R1 = RatFn(a * d - b * c, g) + R1
         R2 = RatFn(a * c + b * d, g) + R2

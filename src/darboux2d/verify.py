@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -291,16 +291,7 @@ def fd_residual(
     skipped = int(residual.size - keep.sum())
     if not keep.any():
         raise ValueError("no grid point has a finite residual")
-    detail = {
-        "order": order,
-        "grid": {
-            "x_range": list(grid.x_range),
-            "y_range": list(grid.y_range),
-            "nx": grid.nx,
-            "ny": grid.ny,
-        },
-        "skipped_points": skipped,
-    }
+    detail = {"order": order, "grid": asdict(grid), "skipped_points": skipped}
     return _numeric_report(name, residual[keep].max(), tol, detail, params)
 
 
@@ -383,26 +374,37 @@ def _case_from(*reports: ResidualReport, **labels) -> dict:
     return case
 
 
+def _draws(key: str, name: str, seed: int) -> Iterator[tuple]:
+    """``(draw, tag, params, B, rng)`` for the five seeded draws of target
+    ``name``; B comes from this module's `build_family`, and what a caller
+    draws from ``rng`` comes after the draw's parameters, before the next's."""
+    tag = FAMILY_KEYS[key]
+    rng = random.Random(f"{seed}:{name}")
+    for draw in range(5):
+        params = _draw_params(tag, rng)
+        yield draw, tag, params, build_family(tag, params).B, rng
+
+
+def _worst_gap(f: PointFn, g: PointFn, points: Iterable[tuple[float, float]],
+               relative: bool = False) -> float:
+    """Max of |f - g| over ``points``, over max(|f|, |g|) if ``relative``."""
+    worst = 0.0
+    for x, y in points:
+        a, b = f(x, y), g(x, y)
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b)) if relative else abs(a - b))
+    return worst
+
+
 # -- target bodies ----------------------------------------------------------
 
 
 def _run_eq12_family(key: str, seed: int) -> ResidualReport:
-    tag = FAMILY_KEYS[key]
     name = f"eq12:{key}"
-    rng = random.Random(f"{seed}:{name}")
     cases = []
-    for draw in range(5):
-        params = _draw_params(tag, rng)
-        B = build_family(tag, params).B
+    for draw, _, params, B, rng in _draws(key, name, seed):
         c = _rand_fraction(rng, nonzero=True)
-        variants = (
-            ("B", B),
-            ("cB", c * B),
-            ("1/B", RatFn(B.den, B.num)),
-        )
-        for label, Bv in variants:
-            rep = check_eq12(Bv)
-            cases.append(_case_from(rep, draw=draw, variant=label,
+        for label, Bv in (("B", B), ("cB", c * B), ("1/B", RatFn(B.den, B.num))):
+            cases.append(_case_from(check_eq12(Bv), draw=draw, variant=label,
                                     params=_params_text(params)))
     return _aggregate(name, cases, seed)
 
@@ -430,16 +432,10 @@ def _run_eq12_counterexample(seed: int) -> ResidualReport:
 
 
 def _run_potential_family(key: str, seed: int) -> ResidualReport:
-    tag = FAMILY_KEYS[key]
     name = f"potential:{key}"
-    rng = random.Random(f"{seed}:{name}")
     cases = []
-    for draw in range(5):
-        params = _draw_params(tag, rng)
-        B = build_family(tag, params).B
-        u_pipe = potential_from_B(B)
-        u_closed = closed_potential(tag, params).u
-        residual = u_pipe - u_closed
+    for draw, tag, params, B, _ in _draws(key, name, seed):
+        residual = potential_from_B(B) - closed_potential(tag, params).u
         rep = _exact_report(f"{name}[{draw}]", [residual])
         cases.append(_case_from(rep, draw=draw, params=_params_text(params)))
     return _aggregate(name, cases, seed)
@@ -469,14 +465,8 @@ def _run_potential_tsarev2(seed: int) -> ResidualReport:
     u_exact = potential_from_B(sol.B)
     surds = {k: Fraction(v) for k, v in PRESETS["tsarev-2"].params_float.items()}
     u_surd = closed_potential("B2", surds).u.eval_float
-    worst = 0.0
-    for _ in range(25):
-        x = rng.uniform(-2.0, 2.0)
-        y = rng.uniform(-2.0, 2.0)
-        a = u_exact.eval_float(x, y)
-        b = u_surd(x, y)
-        rel = abs(a - b) / max(abs(a), abs(b))
-        worst = max(worst, rel)
+    points = ((rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(25))
+    worst = _worst_gap(u_exact.eval_float, u_surd, points, relative=True)
     return _numeric_report(name, worst, 1e-9, {"points": 25, "comparison": "relative"},
                            {"preset": "tsarev-2"}, seed)
 
@@ -568,13 +558,10 @@ def _run_tanh_ufromh(seed: int) -> ResidualReport:
     rng = random.Random(f"{seed}:{name}")
     _, u_closed = build_tanh(1.0, 0.0)
     u_h = u_from_h(*_tanh_neg_log_field(1.0, 0.0))
-    worst = 0.0
     # sampled away from the zero line of tanh(xy), where h = -ln B_s
     # is defined and the derivative cancellations stay benign
-    for _ in range(100):
-        x = rng.uniform(0.5, 2.0)
-        y = rng.uniform(0.5, 2.0)
-        worst = max(worst, abs(u_h(x, y) - u_closed(x, y)))
+    points = ((rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(100))
+    worst = _worst_gap(u_h, u_closed, points)
     return _numeric_report(name, worst, 1e-8,
                            {"points": 100, "region": [[0.5, 2.0], [0.5, 2.0]]},
                            {"C1": "1", "C2": "0"}, seed)
@@ -585,10 +572,9 @@ def _run_ufromh_b0(seed: int) -> ResidualReport:
     sol = build_family("B0", DEFAULT_PARAMS["B0"])
     u_closed = closed_potential("B0", DEFAULT_PARAMS["B0"]).u
     u_h = u_from_h(*neg_log_field(sol.B))
-    worst = 0.0
-    for x, y in ((1.0, 2.0), (2.0, 1.0), (0.5, 0.5), (3.0, 4.0), (1.5, -0.5)):
-        # all sample points sit where B_0 = x/(x^2+y^2+1) is positive
-        worst = max(worst, abs(u_h(x, y) - u_closed.eval_float(x, y)))
+    # all sample points sit where B_0 = x/(x^2+y^2+1) is positive
+    points = ((1.0, 2.0), (2.0, 1.0), (0.5, 0.5), (3.0, 4.0), (1.5, -0.5))
+    worst = _worst_gap(u_h, u_closed.eval_float, points)
     return _numeric_report(name, worst, 1e-10, {"points": 5},
                            _params_text(DEFAULT_PARAMS["B0"]), seed)
 

@@ -4,9 +4,11 @@ One test per numbered criterion; each prints a single PASS/FAIL line (with
 its pinned tolerance) to the live terminal and then asserts.  The full
 certification battery runs once per session with a fixed seed, so the gate
 is deterministic end to end, and its exact reports are compared with the
-recorded seed-7 reports in ``tests/data``.
+recorded seed-7 reports in ``tests/data``, and with recorded digests of the
+exact reports at seeds 8 and 23.
 """
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 from darboux2d.verify import ALL_TARGETS, run_suite
 
 ACCEPTANCE_SEED = 7
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="session")
@@ -137,9 +140,21 @@ def test_exact_reports_match_the_recorded_seed_7_reports(reports):
     # exact reports hold only ints, strings and floats of Fractions, so the
     # recorded text does not depend on numpy or libm; a target added later
     # is simply not in the file
-    path = Path(__file__).parent / "data" / "exact_reports_seed7.json"
-    recorded = json.loads(path.read_text())
+    recorded = json.loads((DATA / "exact_reports_seed7.json").read_text())
     assert recorded
     for name, expected in recorded.items():
         got = json.loads(json.dumps(asdict(reports[name]), sort_keys=True, default=str))
         assert got == expected, name
+
+
+@pytest.mark.parametrize("seed", [8, 23])
+def test_exact_reports_match_the_recorded_digests(seed):
+    # the sha256 of each exact report's text, as the seed-7 file records it
+    # in full; only the recorded targets run, and one added later is absent
+    recorded = json.loads((DATA / "exact_report_digests.json").read_text())[str(seed)]
+    assert recorded
+    got = {}
+    for report in run_suite(list(recorded), seed):
+        text = json.dumps(asdict(report), sort_keys=True, default=str)
+        got[report.check_name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == recorded

@@ -345,13 +345,28 @@ def test_grid_single_point_needs_equal_bounds(capsys):
 @pytest.mark.parametrize("x, y", [
     ("0:1e308:3", "0:1:2"),  # the last point overflows to inf
     ("-inf:inf:3", "0:1:2"),  # the middle point is nan
-    ("0:1:2", "-1e308:1e308:2"),  # the width overflows, on the y axis
+    ("0:1:2", "0:1e308:3"),  # the last point overflows, on the y axis
 ])
 def test_grid_rejects_a_nonfinite_axis_point(capsys, family, x, y):
     code, out, err = run_cli(capsys, "grid", "--family", family, "--x", x, "--y", y)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "invalid-grid",
                                "message": "every grid point must be a finite float"}
+
+
+@pytest.mark.parametrize("family", ["b0", "tanh"])
+@pytest.mark.parametrize("axis, text, points", [
+    pytest.param(0, "-1.7e308:1.7e308:2", [-1.7e308, 1.7e308], id="x-endpoints"),
+    pytest.param(1, "-1e308:1e308:3", [-1e308, 0.0, 1e308], id="y-three-points"),
+])
+def test_grid_axis_whose_span_overflows_keeps_its_points(capsys, family, axis, text, points):
+    # hi - lo overflows to inf, yet every point of the axis is a finite double
+    x, y = (text, "0:1:2") if axis == 0 else ("0:1:2", text)
+    code, out, err = run_cli(capsys, "grid", "--family", family, f"--x={x}", f"--y={y}")
+    assert code == 0
+    column = [float(line.split(",")[axis]) for line in out.splitlines()[1:]]
+    assert list(dict.fromkeys(column)) == points
+    assert json.loads(err)["points"] == 2 * len(points)
 
 
 def test_grid_malformed_axis(capsys):
@@ -530,6 +545,20 @@ def test_unwritable_out_exits_2_with_one_json_line(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "invalid-output"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("targets", ["", ",,", " , "])
+def test_verify_targets_naming_no_target_exits_2(capsys, tmp_path, monkeypatch, targets):
+    # an empty --targets is a usage error, not a request for all 31 targets
+    def no_suite(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "verify", "--targets", targets, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid-params"
     assert not path.exists()
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from darboux2d import darboux, families, verify
+from darboux2d import families, verify
 from darboux2d.cli import main
 from darboux2d.darboux import TransformOutput, potential_from_B, transform_solution
 from darboux2d.families import (
@@ -336,13 +336,13 @@ def test_fd_residual_exclusions_and_nonfinite():
 
 def test_transform_target_fails_on_broken_operator(monkeypatch):
     # the suite's w residual is the one check of W~ = B Y~
-    real = darboux._apply_LD_with
+    real = verify.transform_solution
 
-    def off_by_one(*args):
-        W, Q = real(*args)
-        return W + 1, Q
+    def off_by_one(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return dataclasses.replace(out, W_tilde=out.W_tilde + 1)
 
-    monkeypatch.setattr(darboux, "_apply_LD_with", off_by_one)
+    monkeypatch.setattr(verify, "transform_solution", off_by_one)
     (rep,) = run_suite(["transform:b0"], 7)
     assert rep.verdict == "fail"
 
