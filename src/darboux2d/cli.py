@@ -76,7 +76,7 @@ def _parse_axis(text: str) -> list[float]:
         raise CliError("invalid-grid", "axis range must have lo < hi")
     if count == 1:
         return [lo]
-    if math.isinf(hi - lo):  # finite ends whose span overflows a double
+    if math.isinf((hi - lo) * (count - 1)):  # (hi - lo) * i overflows a double
         return [lo * (1 - i / (count - 1)) + hi * (i / (count - 1)) for i in range(count)]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
@@ -176,35 +176,22 @@ def cmd_build(args: argparse.Namespace) -> int:
         C1, C2 = _tanh_constants(_coerce_params("tanh", raw))
         build_tanh(C1, C2)  # validates the constants
         c1, c2 = _float_text(C1), _float_text(C2)
-        b_text = f"B_s = tanh((x*y - {c2})/{c1})"
-        u_text = f"u = -2*(x^2 + y^2)/({c1}^2*cosh((x*y - {c2})/{c1})^2)"
-        if args.format == "json":
-            payload = {"family": "tanh", "B": b_text[len("B_s = "):],
-                       "u": u_text[len("u = "):],
-                       "constants": {"C1": c1, "C2": c2}}
-            _write_out(json.dumps(payload, sort_keys=True), args.out)
-        else:
-            _write_out("\n".join(["family: tanh", b_text, u_text]), args.out)
-        return 0
-    sol, closed = _rational_instance(family, _coerce_params(family, raw))
-    lines = [f"family: {family}"]
-    if sol.preset:
-        lines[0] = f"family: {family} (preset {sol.preset})"
-    lines.append(f"B = {ratfn_to_str(sol.B)}")
-    lines.append(f"u = {ratfn_to_str(closed.u)}")
-    for key in sorted(closed.constants):
-        lines.append(f"{key} = {closed.constants[key]}")
+        head, fields, constants = "family: tanh", {}, {"C1": c1, "C2": c2}
+        B = f"tanh((x*y - {c2})/{c1})"
+        u = f"-2*(x^2 + y^2)/({c1}^2*cosh((x*y - {c2})/{c1})^2)"
+        lines = [f"B_s = {B}", f"u = {u}"]
+    else:
+        sol, closed = _rational_instance(family, _coerce_params(family, raw))
+        head = f"family: {family}" + (f" (preset {sol.preset})" if sol.preset else "")
+        fields = {"preset": sol.preset}
+        constants = {k: str(v) for k, v in sorted(closed.constants.items())}
+        B, u = ratfn_to_str(sol.B), ratfn_to_str(closed.u)
+        lines = [f"B = {B}", f"u = {u}", *(f"{k} = {v}" for k, v in constants.items())]
     if args.format == "json":
-        payload = {
-            "family": family,
-            "preset": sol.preset,
-            "B": ratfn_to_str(sol.B),
-            "u": ratfn_to_str(closed.u),
-            "constants": {k: str(v) for k, v in sorted(closed.constants.items())},
-        }
+        payload = {"family": family, "B": B, "u": u, "constants": constants, **fields}
         _write_out(json.dumps(payload, sort_keys=True), args.out)
     else:
-        _write_out("\n".join(lines), args.out)
+        _write_out("\n".join([head, *lines]), args.out)
     return 0
 
 
@@ -351,6 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="construct a family instance")
     common(p_build)
+    p_build.set_defaults(run=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run certification targets")
     p_verify.add_argument("--family", default="all",
@@ -361,27 +349,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--progress", action="store_true",
                           help="print one JSON line per finished target on stderr")
     p_verify.add_argument("--out", default=None)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_transform = sub.add_parser("transform", help="apply the solution transform")
     common(p_transform)
     p_transform.add_argument("--seed-kind", choices=("const", "re", "im"),
                              default="const")
     p_transform.add_argument("--degree", type=int, default=None)
+    p_transform.set_defaults(run=cmd_transform)
 
     p_grid = sub.add_parser("grid", help="sample a field on a grid")
     common(p_grid)
     p_grid.add_argument("--x", required=True, help="lo:hi:count")
     p_grid.add_argument("--y", required=True, help="lo:hi:count")
     p_grid.add_argument("--field", choices=("u", "B"), default="u")
+    p_grid.set_defaults(run=cmd_grid)
     return parser
-
-
-_DISPATCH = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "transform": cmd_transform,
-    "grid": cmd_grid,
-}
 
 
 def _glue_axis_values(argv: list[str]) -> list[str]:
@@ -408,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.subcommand](args)
+        return args.run(args)
     except CliError as exc:
         print(json.dumps({"error": exc.kind, "message": str(exc)}), file=sys.stderr)
         return 2

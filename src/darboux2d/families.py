@@ -304,22 +304,19 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
     certified checks in `verify`.
     """
     roots, C = _pole_data(family_tag, params)
+    constants = {}
     if family_tag == "B0":
         (((x0, y0), _),) = roots
-        den = (X - x0) ** 2 + (Y - y0) ** 2 + C
-        return ClosedPotential(u=RatFn(BiPoly.const(-8 * C), den) / den)
-
-    if family_tag == "B1":
+        num = BiPoly.const(-8 * C)
+        M = (X - x0) ** 2 + (Y - y0) ** 2
+    elif family_tag == "B1":
         ((x0, y0), _), ((x1, y1), _) = roots
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         num = -32 * C * ((X - cx) ** 2 + (Y - cy) ** 2)
         M = ((X - x0) ** 2 + (Y - y0) ** 2) * ((X - x1) ** 2 + (Y - y1) ** 2)
-        den = M + C
-        return ClosedPotential(u=RatFn(num, den) / den)
-
-    if family_tag == "B2":
+    elif family_tag == "B2":
         _, ((x1, y1), _), ((x2, y2), _) = roots
-        k = {
+        k = constants = {
             "k1": x1 + x2,
             "k2": y1 + y2,
             "k3": x1 * x2,
@@ -335,25 +332,25 @@ def closed_potential(family_tag: str, params: Mapping[str, Scalar]) -> ClosedPot
             - 4 * (k["k2"] * k["k4"] + k["k5"] * x1 + k["k6"] * x2) * Y
             + BiPoly.const((x1 * x1 + y1 * y1) * (x2 * x2 + y2 * y2))
         )
+        num = -8 * C * G
         M = (
             (X**2 + Y**2)
             * ((X - x1) ** 2 + (Y - y1) ** 2)
             * ((X - x2) ** 2 + (Y - y2) ** 2)
         )
-        den = M + C
-        return ClosedPotential(u=RatFn(-8 * C * G, den) / den, constants=k)
+    else:  # B3
+        _, ((x1, y1), _) = roots
+        num = (
+            -128
+            * C
+            * (X**2 + Y**2) ** 2
+            * ((X - 3 * x1 / 4) ** 2 + (Y - 3 * y1 / 4) ** 2)
+        )
+        M = (X**2 + Y**2) ** 3 * ((X - x1) ** 2 + (Y - y1) ** 2)
+        constants = _m_constants(x1, y1)
 
-    # B3
-    _, ((x1, y1), _) = roots
-    num = (
-        -128
-        * C
-        * (X**2 + Y**2) ** 2
-        * ((X - 3 * x1 / 4) ** 2 + (Y - 3 * y1 / 4) ** 2)
-    )
-    M = (X**2 + Y**2) ** 3 * ((X - x1) ** 2 + (Y - y1) ** 2)
     den = M + C
-    return ClosedPotential(u=RatFn(num, den) / den, constants=_m_constants(x1, y1))
+    return ClosedPotential(u=RatFn(num, den) / den, constants=constants)
 
 
 def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatFn]:
@@ -473,30 +470,21 @@ class Preset:
     params_float: dict | None = None
 
 
-def _make_presets() -> dict[str, Preset]:
-    tsarev2_exact, tsarev2_float = _tsarev2_values()
-    return {
-        "tsarev-1": Preset(
-            family_tag="B1",
-            params={
-                "p0": Fraction(1),
-                "q0": Fraction(0),
-                "x0": Fraction(0),
-                "y0": Fraction(0),
-                "x1": Fraction(-8, 17),
-                "y1": Fraction(-2, 17),
-                "C": Fraction(160, 17),
-            },
-        ),
-        "tsarev-2": Preset(
-            family_tag="B2",
-            params=tsarev2_exact,
-            params_float=tsarev2_float,
-        ),
-    }
-
-
-PRESETS: dict[str, Preset] = _make_presets()
+PRESETS: dict[str, Preset] = {
+    "tsarev-1": Preset(
+        family_tag="B1",
+        params={
+            "p0": Fraction(1),
+            "q0": Fraction(0),
+            "x0": Fraction(0),
+            "y0": Fraction(0),
+            "x1": Fraction(-8, 17),
+            "y1": Fraction(-2, 17),
+            "C": Fraction(160, 17),
+        },
+    ),
+    "tsarev-2": Preset("B2", *_tsarev2_values()),
+}
 
 DEFAULT_PARAMS: dict[str, dict] = {
     "B0": {"p0": 1, "q0": 0, "x0": 0, "y0": 0, "C": 1},

@@ -39,14 +39,6 @@ from darboux2d.polyrat import (
     laplacian,
 )
 
-Point = tuple[Fraction, Fraction]
-
-
-def _as_point(value) -> Point:
-    a, b = value
-    return (as_fraction(a), as_fraction(b))
-
-
 @dataclass(frozen=True)
 class HarmonicPair:
     """A seed pair (Y, Q) with Y_x = Q_y and Y_y = -Q_x, checked exactly."""
@@ -81,11 +73,6 @@ def harmonic_basis(max_degree: int) -> tuple[HarmonicPair, ...]:
     return tuple(pairs)
 
 
-def _pole_factor(pole: Point) -> BiPoly:
-    xi, yi = pole
-    return (X - xi) ** 2 + (Y - yi) ** 2
-
-
 def laplace_constrained_numerator(
     poles: Sequence[tuple[Scalar, Scalar]],
 ) -> list[tuple[Fraction, ...]]:
@@ -98,13 +85,13 @@ def laplace_constrained_numerator(
     positive, in free-variable order.  An empty list means only the trivial
     weight vector works for this pole layout.
     """
-    pts = [_as_point(p) for p in poles]
+    pts = [(as_fraction(a), as_fraction(b)) for a, b in poles]
     if len(set(pts)) != len(pts):
         raise ValueError("poles must be pairwise distinct")
     n_unknowns = 2 * len(pts)
 
     # the p_i and q_i columns share the product of the other poles' factors
-    factors = [_pole_factor(p) for p in pts]
+    factors = [(X - xi) ** 2 + (Y - yi) ** 2 for xi, yi in pts]
     columns: list[BiPoly] = []
     for i, (xi, yi) in enumerate(pts):
         others = ONE

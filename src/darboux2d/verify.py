@@ -135,25 +135,15 @@ def _report(name: str, mode: str, ok: bool, detail: dict,
 # ---------------------------------------------------------------------------
 
 
-def _exact_report(
-    name: str,
-    residuals: Sequence[RatFn],
-    params: dict | None = None,
-    seed: int | None = None,
-    extra: dict | None = None,
-    ok: bool = True,
-) -> ResidualReport:
-    """Passes when ``ok`` and every residual is identically zero."""
+def _exact_report(name: str, residuals: Sequence[RatFn]) -> ResidualReport:
+    """Passes when every residual is identically zero."""
     nums = [r.num for r in residuals]
     infos = [{"terms": n.n_terms, "degree": n.total_degree()} for n in nums]
     detail = {
         "residuals": infos,
         "residual_terms": sum(info["terms"] for info in infos),
     }
-    if extra:
-        detail.update(extra)
-    ok = ok and all(ratfn_is_zero(r) for r in residuals)
-    return _report(name, "exact", ok, detail, params, seed)
+    return _report(name, "exact", all(ratfn_is_zero(r) for r in residuals), detail)
 
 
 def check_eq12(B: RatFn) -> ResidualReport:
@@ -446,11 +436,10 @@ def _run_potential_tsarev1(seed: int) -> ResidualReport:
     sol = build_preset("tsarev-1")
     u_pipe = potential_from_B(sol.B)
     u_closed = closed_potential(sol.family_tag, sol.params).u
-    residual = u_pipe - u_closed
+    rep = _exact_report(name, [u_pipe - u_closed])
     spot = u_closed.eval(0, 0)
-    return _exact_report(name, [residual], seed=seed,
-                         params=_params_text(sol.params),
-                         extra={"origin_value": str(spot)}, ok=spot == Fraction(-1, 5))
+    return _report(name, "exact", rep.passed and spot == Fraction(-1, 5),
+                   {**rep.detail, "origin_value": str(spot)}, _params_text(sol.params), seed)
 
 
 def _run_potential_tsarev2(seed: int) -> ResidualReport:
@@ -700,26 +689,27 @@ def _run_fd_order(seed: int) -> ResidualReport:
 
 def _per_family(prefix: str, body: Callable[[str, int], ResidualReport],
                 keys: Iterable[str] = FAMILY_KEYS) -> dict:
-    return {f"{prefix}:{k}": (frozenset({k}), partial(body, k)) for k in keys}
+    return {f"{prefix}:{k}": partial(body, k) for k in keys}
 
 
-# target name -> (family keys it touches, body taking the seed), in run order
-_TARGETS: dict[str, tuple[frozenset[str], Callable[[int], ResidualReport]]] = {
+# target name -> body taking the seed, in run order; the family keys among a
+# name's ":"-separated parts are the families it touches
+_TARGETS: dict[str, Callable[[int], ResidualReport]] = {
     **_per_family("eq12", _run_eq12_family),
-    "eq12:harmonic": (frozenset(), _run_eq12_harmonic),
-    "eq12:counterexample": (frozenset(), _run_eq12_counterexample),
+    "eq12:harmonic": _run_eq12_harmonic,
+    "eq12:counterexample": _run_eq12_counterexample,
     **_per_family("potential", _run_potential_family),
-    "potential:tsarev-1:b1": (frozenset({"b1"}), _run_potential_tsarev1),
-    "potential:tsarev-2:b2": (frozenset({"b2"}), _run_potential_tsarev2),
+    "potential:tsarev-1:b1": _run_potential_tsarev1,
+    "potential:tsarev-2:b2": _run_potential_tsarev2,
     **_per_family("transform", _run_transform_family),
-    "tanh:fd": (frozenset({"tanh"}), _run_tanh_fd),
-    "tanh:ufromh": (frozenset({"tanh"}), _run_tanh_ufromh),
-    "ufromh:b0": (frozenset({"b0"}), _run_ufromh_b0),
-    "spot:potentials": (frozenset(), _run_spot_values),
+    "tanh:fd": _run_tanh_fd,
+    "tanh:ufromh": _run_tanh_ufromh,
+    "ufromh:b0": _run_ufromh_b0,
+    "spot:potentials": _run_spot_values,
     **_per_family("decay", _run_decay),
     **_per_family("smooth", _run_smooth),
     **_per_family("dim", _run_dim, ("b1", "b2")),
-    "fd:order": (frozenset(), _run_fd_order),
+    "fd:order": _run_fd_order,
 }
 
 ALL_TARGETS: tuple[str, ...] = tuple(_TARGETS)
@@ -729,10 +719,9 @@ def targets_for_family(family: str) -> list[str]:
     """Target names touching one family key (b0..b3, tanh) or 'all'."""
     if family == "all":
         return list(ALL_TARGETS)
-    hits = [name for name, (families, _) in _TARGETS.items() if family in families]
-    if not hits:
+    if family not in FAMILY_KEYS and family != "tanh":
         raise ValueError(f"no targets for family {family!r}")
-    return hits
+    return [name for name in _TARGETS if family in name.split(":")]
 
 
 def check_targets(targets: Sequence[str]) -> None:
@@ -755,7 +744,7 @@ def run_suite(targets: Sequence[str], seed: int,
     reports = []
     for name in targets:
         start = time.perf_counter()
-        reports.append(_TARGETS[name][1](seed))
+        reports.append(_TARGETS[name](seed))
         if progress is not None:
             progress(name, reports[-1], time.perf_counter() - start)
     return sorted(reports, key=lambda r: r.check_name)

@@ -343,9 +343,9 @@ def test_grid_single_point_needs_equal_bounds(capsys):
 
 @pytest.mark.parametrize("family", [*sorted(FAMILY_KEYS), *sorted(PRESETS), "tanh"])
 @pytest.mark.parametrize("x, y", [
-    ("0:1e308:3", "0:1:2"),  # the last point overflows to inf
+    ("0:inf:3", "0:1:2"),  # an infinite end
     ("-inf:inf:3", "0:1:2"),  # the middle point is nan
-    ("0:1:2", "0:1e308:3"),  # the last point overflows, on the y axis
+    ("0:1:2", "0:inf:3"),  # an infinite end, on the y axis
 ])
 def test_grid_rejects_a_nonfinite_axis_point(capsys, family, x, y):
     code, out, err = run_cli(capsys, "grid", "--family", family, "--x", x, "--y", y)
@@ -354,13 +354,16 @@ def test_grid_rejects_a_nonfinite_axis_point(capsys, family, x, y):
                                "message": "every grid point must be a finite float"}
 
 
-@pytest.mark.parametrize("family", ["b0", "tanh"])
+@pytest.mark.parametrize("family", [*sorted(FAMILY_KEYS), *sorted(PRESETS), "tanh"])
 @pytest.mark.parametrize("axis, text, points", [
     pytest.param(0, "-1.7e308:1.7e308:2", [-1.7e308, 1.7e308], id="x-endpoints"),
     pytest.param(1, "-1e308:1e308:3", [-1e308, 0.0, 1e308], id="y-three-points"),
+    pytest.param(0, "0:1e308:3", [0.0, 5e307, 1e308], id="x-span-times-steps"),
+    pytest.param(1, "0:1e308:3", [0.0, 5e307, 1e308], id="y-span-times-steps"),
 ])
 def test_grid_axis_whose_span_overflows_keeps_its_points(capsys, family, axis, text, points):
-    # hi - lo overflows to inf, yet every point of the axis is a finite double
+    # hi - lo, or (hi - lo) * (count - 1), overflows to inf, yet every point
+    # of the axis is a finite double
     x, y = (text, "0:1:2") if axis == 0 else ("0:1:2", text)
     code, out, err = run_cli(capsys, "grid", "--family", family, f"--x={x}", f"--y={y}")
     assert code == 0

@@ -452,13 +452,29 @@ def test_run_suite_rejects_unknown_target():
 
 def test_targets_for_family():
     assert targets_for_family("all") == list(ALL_TARGETS)
-    b2 = targets_for_family("b2")
-    assert "eq12:b2" in b2 and "smooth:b2" in b2 and "potential:tsarev-2:b2" in b2
-    assert all("b0" not in t for t in b2)
-    tanh = targets_for_family("tanh")
-    assert set(tanh) == {"tanh:fd", "tanh:ufromh"}
     with pytest.raises(ValueError):
         targets_for_family("b7")
+
+
+@pytest.mark.parametrize("family, targets", [
+    ("b0", ["eq12:b0", "potential:b0", "transform:b0", "ufromh:b0", "decay:b0",
+            "smooth:b0"]),
+    ("b1", ["eq12:b1", "potential:b1", "potential:tsarev-1:b1", "transform:b1",
+            "decay:b1", "smooth:b1", "dim:b1"]),
+    ("b2", ["eq12:b2", "potential:b2", "potential:tsarev-2:b2", "transform:b2",
+            "decay:b2", "smooth:b2", "dim:b2"]),
+    ("b3", ["eq12:b3", "potential:b3", "transform:b3", "decay:b3", "smooth:b3"]),
+    ("tanh", ["tanh:fd", "tanh:ufromh"]),
+])
+def test_targets_for_family_lists_each_family_in_run_order(family, targets):
+    assert targets_for_family(family) == targets
+
+
+@pytest.mark.parametrize("family", ["potential", "eq12", "tsarev-1", "fd", "harmonic"])
+def test_targets_for_family_rejects_a_name_part_that_is_no_family(family):
+    # each is a part of some target name, but no family key
+    with pytest.raises(ValueError, match=f"no targets for family '{family}'"):
+        targets_for_family(family)
 
 
 def test_report_json_shape():
