@@ -51,7 +51,9 @@ from darboux2d.verify import check_schrodinger, check_targets, run_suite, target
 
 
 class CliError(Exception):
-    """Config/usage failure carrying a machine-readable error type."""
+    """A usage failure whose machine-readable error type `main` cannot tell
+    from the exception: ``invalid-grid`` or ``invalid-output``.  Invalid
+    parameters are raised as `ValueError`."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -89,13 +91,13 @@ def _load_params(text: str | None) -> dict:
         try:
             blob = Path(text).read_text()
         except OSError as exc:
-            raise CliError("invalid-params", f"cannot read params file: {exc}") from None
+            raise ValueError(f"cannot read params file: {exc}") from None
     try:
         raw = json.loads(blob)
     except json.JSONDecodeError as exc:
-        raise CliError("invalid-params", f"params are not valid JSON: {exc}") from None
+        raise ValueError(f"params are not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise CliError("invalid-params", "params must be a JSON object")
+        raise ValueError("params must be a JSON object")
     return raw
 
 
@@ -103,7 +105,7 @@ def _coerce_rational(key: str, value) -> Fraction:
     try:
         return as_fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise CliError("invalid-params", f"parameter {key}: {exc}") from None
+        raise ValueError(f"parameter {key}: {exc}") from None
 
 
 def _coerce_params(family: str, raw: dict) -> dict:
@@ -111,18 +113,16 @@ def _coerce_params(family: str, raw: dict) -> dict:
     for key, value in raw.items():
         if family == "tanh":
             if key not in ("C1", "C2"):
-                raise CliError("invalid-params", f"unknown tanh parameter {key!r}")
+                raise ValueError(f"unknown tanh parameter {key!r}")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 value = _coerce_rational(key, value)
             try:
                 params[key] = float(value)
             except OverflowError as exc:  # an int or rational beyond the double range
-                raise CliError("invalid-params", f"parameter {key}: {exc}") from None
+                raise ValueError(f"parameter {key}: {exc}") from None
         elif key == "weights_choice":
             if not isinstance(value, list) or len(value) not in (2, 6):
-                raise CliError(
-                    "invalid-params", "weights_choice must be a list of 2 or 6 rationals"
-                )
+                raise ValueError("weights_choice must be a list of 2 or 6 rationals")
             params[key] = tuple(_coerce_rational(key, v) for v in value)
         else:
             # a key the family does not take is rejected by `build_family`
@@ -138,7 +138,7 @@ def _rational_instance(family: str, params: dict):
         tag = FAMILY_KEYS[family]
         sol = build_family(tag, {**DEFAULT_PARAMS[tag], **params})
     else:
-        raise CliError("invalid-params", f"unknown family {family!r}")
+        raise ValueError(f"unknown family {family!r}")
     return sol, closed_potential(sol.family_tag, sol.params)
 
 
@@ -201,16 +201,13 @@ def _print_progress(name: str, report, seconds: float) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        if args.targets is None:
-            targets = targets_for_family(args.family or "all")
-        else:
-            targets = [t.strip() for t in args.targets.split(",") if t.strip()]
-            if not targets:
-                raise ValueError(f"--targets names no target: {args.targets!r}")
-        check_targets(targets)
-    except ValueError as exc:
-        raise CliError("invalid-params", str(exc)) from None
+    if args.targets is None:
+        targets = targets_for_family(args.family or "all")
+    else:
+        targets = [t.strip() for t in args.targets.split(",") if t.strip()]
+        if not targets:
+            raise ValueError(f"--targets names no target: {args.targets!r}")
+    check_targets(targets)
     if args.out not in (None, "-"):  # fail before the suite, which takes seconds
         try:
             open(args.out, "a").close()
@@ -226,9 +223,9 @@ def _seed_pair(kind: str, degree: int | None) -> HarmonicPair:
     if kind == "const":
         return HarmonicPair(Y=ZERO, Q=ONE)
     if degree is None:
-        raise CliError("invalid-params", f"seed kind {kind!r} requires --degree")
+        raise ValueError(f"seed kind {kind!r} requires --degree")
     if degree < 0:
-        raise CliError("invalid-params", "degree must be non-negative")
+        raise ValueError("degree must be non-negative")
     pair = harmonic_basis(degree)[degree]
     if kind == "re":
         return pair
@@ -241,8 +238,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     family = args.family
     raw = _load_params(args.params)
     if family == "tanh":
-        raise CliError("invalid-params",
-                       "transform needs a rational family (b0..b3 or a preset)")
+        raise ValueError("transform needs a rational family (b0..b3 or a preset)")
     sol, _ = _rational_instance(family, _coerce_params(family, raw))
     pair = _seed_pair(args.seed_kind, args.degree)
     out = transform_solution(sol.B, pair, R=closed_R(sol.family_tag, sol.params))

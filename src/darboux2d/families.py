@@ -438,26 +438,18 @@ def _sqrt_fraction(v: Fraction) -> Fraction:
                     v.denominator * scale)
 
 
-def _tsarev2_values() -> tuple[dict[str, Fraction], dict[str, float]]:
+def _tsarev2_poles(t, one) -> dict:
     # the nested surd t = sqrt(788 + sqrt(1252969)) drives all four pole coords
+    return {"x1": -one / 80 - t / 80, "y1": (-159 + t) / (16 * t),
+            "x2": -one / 80 + t / 80, "y2": (159 + t) / (16 * t)}
+
+
+def _tsarev2_values() -> tuple[dict[str, Fraction], dict[str, float]]:
     t_hi = _sqrt_fraction(788 + _sqrt_fraction(Fraction(1252969)))
-    exact_full = {
-        "x1": -Fraction(1, 80) - t_hi / 80,
-        "y1": (-159 + t_hi) / (16 * t_hi),
-        "x2": -Fraction(1, 80) + t_hi / 80,
-        "y2": (159 + t_hi) / (16 * t_hi),
-    }
-    rationalized = {k: v.limit_denominator(10**13) for k, v in exact_full.items()}
-    rationalized["C"] = Fraction(50)
-    t = math.sqrt(788 + math.sqrt(1252969))
-    floats = {
-        "x1": -1 / 80 - t / 80,
-        "y1": (-159 + t) / (16 * t),
-        "x2": -1 / 80 + t / 80,
-        "y2": (159 + t) / (16 * t),
-        "C": 50.0,
-    }
-    return rationalized, floats
+    exact = _tsarev2_poles(t_hi, Fraction(1))
+    rationalized = {k: v.limit_denominator(10**13) for k, v in exact.items()}
+    floats = _tsarev2_poles(math.sqrt(788 + math.sqrt(1252969)), 1)
+    return {**rationalized, "C": Fraction(50)}, {**floats, "C": 50.0}
 
 
 @dataclass(frozen=True)

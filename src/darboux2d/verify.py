@@ -124,10 +124,11 @@ class GridSpec:
         )
 
 
-def _report(name: str, mode: str, ok: bool, detail: dict,
-            params: dict | None = None, seed: int | None = None) -> ResidualReport:
-    """Every report is made here: it passes exactly when ``ok``."""
-    return ResidualReport(name, mode, "pass" if ok else "fail", detail, params or {}, seed)
+def _report(mode: str, ok: bool, detail: dict, params: dict | None = None,
+            name: str = "") -> ResidualReport:
+    """Every report is made here: it passes exactly when ``ok``.  Only the
+    public checks name theirs; `run_suite` names a target's and adds the seed."""
+    return ResidualReport(name, mode, "pass" if ok else "fail", detail, params or {})
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def _exact_report(name: str, residuals: Sequence[RatFn]) -> ResidualReport:
         "residuals": infos,
         "residual_terms": sum(info["terms"] for info in infos),
     }
-    return _report(name, "exact", all(ratfn_is_zero(r) for r in residuals), detail)
+    return _report("exact", all(ratfn_is_zero(r) for r in residuals), detail, name=name)
 
 
 def check_eq12(B: RatFn) -> ResidualReport:
@@ -204,17 +205,11 @@ def check_new_potential_system(B: RatFn, out: TransformOutput) -> ResidualReport
 # ---------------------------------------------------------------------------
 
 
-def _numeric_report(
-    name: str,
-    worst: float,
-    tol: float,
-    detail: dict,
-    params: dict | None = None,
-    seed: int | None = None,
-) -> ResidualReport:
+def _numeric_report(worst: float, tol: float, detail: dict, params: dict | None = None,
+                    name: str = "") -> ResidualReport:
     """A numeric verdict: pass when the worst residual is within `tol`."""
     detail = {"max_residual": float(worst), "tolerance": tol, **detail}
-    return _report(name, "numeric", worst <= tol, detail, params, seed)
+    return _report("numeric", worst <= tol, detail, params, name)
 
 
 _SAMPLE_ROWS = 64  # grid rows per field call, so per intermediate array
@@ -245,16 +240,10 @@ def _fd_laplacian(F: np.ndarray, hx: float, hy: float, order: int) -> np.ndarray
     raise ValueError("stencil order must be 2 or 4")
 
 
-def fd_residual(
-    u: NumFn,
-    Y: NumFn,
-    grid: GridSpec,
-    order: int = 4,
-    tol: float = 1e-6,
-    name: str = "fd-residual",
-    params: dict | None = None,
-) -> ResidualReport:
-    """Max |lap(Y) - u Y| over interior grid points, by central differences.
+def fd_residual(u: NumFn, Y: NumFn, grid: GridSpec, order: int = 4,
+                tol: float = 1e-6) -> ResidualReport:
+    """Max |lap(Y) - u Y| over interior grid points, by central differences,
+    as a report named ``fd-residual`` that passes within ``tol``.
 
     `u` and `Y` are sampled a block of up to 64 grid rows per call, as
     ``f(xs, ys)`` with the x values as a numpy array of shape (n,) and the
@@ -282,7 +271,7 @@ def fd_residual(
     if not keep.any():
         raise ValueError("no grid point has a finite residual")
     detail = {"order": order, "grid": asdict(grid), "skipped_points": skipped}
-    return _numeric_report(name, residual[keep].max(), tol, detail, params)
+    return _numeric_report(residual[keep].max(), tol, detail, name="fd-residual")
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +334,13 @@ def _params_text(params: dict) -> dict:
     return out
 
 
-def _aggregate(
-    name: str, cases: list[dict], seed: int, params: dict | None = None
-) -> ResidualReport:
+def _aggregate(cases: list[dict], params: dict | None = None) -> ResidualReport:
     detail = {
         "cases": cases,
         "residual_terms": sum(c.get("residual_terms", 0) for c in cases),
     }
     ok = all(c["verdict"] == "pass" for c in cases)
-    return _report(name, "exact", ok, detail, params, seed)
+    return _report("exact", ok, detail, params)
 
 
 def _case_from(*reports: ResidualReport, **labels) -> dict:
@@ -364,15 +351,14 @@ def _case_from(*reports: ResidualReport, **labels) -> dict:
     return case
 
 
-def _draws(key: str, name: str, seed: int) -> Iterator[tuple]:
-    """``(draw, tag, params, B, rng)`` for the five seeded draws of target
-    ``name``; B comes from this module's `build_family`, and what a caller
+def _draws(key: str, rng: random.Random) -> Iterator[tuple]:
+    """``(draw, tag, params, B)`` for five draws of family ``key`` from
+    ``rng``; B comes from this module's `build_family`, and what a caller
     draws from ``rng`` comes after the draw's parameters, before the next's."""
     tag = FAMILY_KEYS[key]
-    rng = random.Random(f"{seed}:{name}")
     for draw in range(5):
         params = _draw_params(tag, rng)
-        yield draw, tag, params, build_family(tag, params).B, rng
+        yield draw, tag, params, build_family(tag, params).B
 
 
 def _worst_gap(f: PointFn, g: PointFn, points: Iterable[tuple[float, float]],
@@ -388,29 +374,26 @@ def _worst_gap(f: PointFn, g: PointFn, points: Iterable[tuple[float, float]],
 # -- target bodies ----------------------------------------------------------
 
 
-def _run_eq12_family(key: str, seed: int) -> ResidualReport:
-    name = f"eq12:{key}"
+def _run_eq12_family(key: str, rng: random.Random) -> ResidualReport:
     cases = []
-    for draw, _, params, B, rng in _draws(key, name, seed):
+    for draw, _, params, B in _draws(key, rng):
         c = _rand_fraction(rng, nonzero=True)
         for label, Bv in (("B", B), ("cB", c * B), ("1/B", RatFn(B.den, B.num))):
             cases.append(_case_from(check_eq12(Bv), draw=draw, variant=label,
                                     params=_params_text(params)))
-    return _aggregate(name, cases, seed)
+    return _aggregate(cases)
 
 
-def _run_eq12_harmonic(seed: int) -> ResidualReport:
-    name = "eq12:harmonic"
+def _run_eq12_harmonic(_rng: random.Random) -> ResidualReport:
     cases = []
     pairs = harmonic_basis(5)
     for k in range(1, 6):
         rep = check_eq12(RatFn.from_poly(pairs[k].Y))
         cases.append(_case_from(rep, degree=k))
-    return _aggregate(name, cases, seed)
+    return _aggregate(cases)
 
 
-def _run_eq12_counterexample(seed: int) -> ResidualReport:
-    name = "eq12:counterexample"
+def _run_eq12_counterexample(_rng: random.Random) -> ResidualReport:
     inner = check_eq12(RatFn.from_poly(X * X))
     detail = {
         "expected_failure": True,
@@ -418,46 +401,42 @@ def _run_eq12_counterexample(seed: int) -> ResidualReport:
         "residual_terms": inner.detail["residual_terms"],
         "residuals": inner.detail["residuals"],
     }
-    return _report(name, "exact", not inner.passed, detail, {"B": "x^2"}, seed)
+    return _report("exact", not inner.passed, detail, {"B": "x^2"})
 
 
-def _run_potential_family(key: str, seed: int) -> ResidualReport:
-    name = f"potential:{key}"
+def _run_potential_family(key: str, rng: random.Random) -> ResidualReport:
     cases = []
-    for draw, tag, params, B, _ in _draws(key, name, seed):
+    for draw, tag, params, B in _draws(key, rng):
         residual = potential_from_B(B) - closed_potential(tag, params).u
-        rep = _exact_report(f"{name}[{draw}]", [residual])
+        rep = _exact_report("potential", [residual])
         cases.append(_case_from(rep, draw=draw, params=_params_text(params)))
-    return _aggregate(name, cases, seed)
+    return _aggregate(cases)
 
 
-def _run_potential_tsarev1(seed: int) -> ResidualReport:
-    name = "potential:tsarev-1:b1"
+def _run_potential_tsarev1(_rng: random.Random) -> ResidualReport:
     sol = build_preset("tsarev-1")
     u_pipe = potential_from_B(sol.B)
     u_closed = closed_potential(sol.family_tag, sol.params).u
-    rep = _exact_report(name, [u_pipe - u_closed])
+    rep = _exact_report("potential", [u_pipe - u_closed])
     spot = u_closed.eval(0, 0)
-    return _report(name, "exact", rep.passed and spot == Fraction(-1, 5),
-                   {**rep.detail, "origin_value": str(spot)}, _params_text(sol.params), seed)
+    return _report("exact", rep.passed and spot == Fraction(-1, 5),
+                   {**rep.detail, "origin_value": str(spot)}, _params_text(sol.params))
 
 
-def _run_potential_tsarev2(seed: int) -> ResidualReport:
+def _run_potential_tsarev2(rng: random.Random) -> ResidualReport:
     """Exact pipeline on the rationalized preset vs the surd-valued closed form.
 
     The closed form is taken at the exact values of the double-rounded surds
     (`Preset.params_float`); `potential:b2` certifies its transcription.
     """
-    name = "potential:tsarev-2:b2"
-    rng = random.Random(f"{seed}:{name}")
     sol = build_preset("tsarev-2")
     u_exact = potential_from_B(sol.B)
     surds = {k: Fraction(v) for k, v in PRESETS["tsarev-2"].params_float.items()}
     u_surd = closed_potential("B2", surds).u.eval_float
     points = ((rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(25))
     worst = _worst_gap(u_exact.eval_float, u_surd, points, relative=True)
-    return _numeric_report(name, worst, 1e-9, {"points": 25, "comparison": "relative"},
-                           {"preset": "tsarev-2"}, seed)
+    return _numeric_report(worst, 1e-9, {"points": 25, "comparison": "relative"},
+                           {"preset": "tsarev-2"})
 
 
 def _family_instance(key: str):
@@ -479,7 +458,7 @@ def _family_instance(key: str):
     return build_family(tag, DEFAULT_PARAMS[tag])
 
 
-def _run_transform_family(key: str, seed: int) -> ResidualReport:
+def _run_transform_family(key: str, _rng: random.Random) -> ResidualReport:
     """Transform the eight seeds and certify each result exactly.
 
     The seeds run on the pole form of R (`families.closed_R`), whose
@@ -488,7 +467,6 @@ def _run_transform_family(key: str, seed: int) -> ResidualReport:
     are zero-tested against each other once, and that report joins every
     case, so a wrong pole form fails all eight.
     """
-    name = f"transform:{key}"
     sol = _family_instance(key)
     B = sol.B
     u_new = potential_from_B(B)
@@ -503,16 +481,14 @@ def _run_transform_family(key: str, seed: int) -> ResidualReport:
         w_residual = out.W_tilde - B * out.Y_tilde
         rep_w = _exact_report("w", [w_residual])
         cases.append(_case_from(rep_R, rep_s, rep_p, rep_w, seed_pair=label))
-    return _aggregate(name, cases, seed,
-                      params={"family": key, "preset": sol.preset})
+    return _aggregate(cases, params={"family": key, "preset": sol.preset})
 
 
-def _run_tanh_fd(seed: int) -> ResidualReport:
+def _run_tanh_fd(_rng: random.Random) -> ResidualReport:
     B_s, u = build_tanh(1.0, 0.0)
     grid = GridSpec(x_range=(-2.0, 2.0), y_range=(-2.0, 2.0), nx=401, ny=401)
-    rep = fd_residual(u, B_s, grid, order=4, tol=1e-6, name="tanh:fd",
-                      params={"C1": "1", "C2": "0"})
-    return replace(rep, seed=seed)
+    rep = fd_residual(u, B_s, grid, order=4, tol=1e-6)
+    return replace(rep, params={"C1": "1", "C2": "0"})
 
 
 def _tanh_neg_log_field(C1: float, C2: float) -> tuple[PointFn, ...]:
@@ -542,33 +518,29 @@ def _tanh_neg_log_field(C1: float, C2: float) -> tuple[PointFn, ...]:
     return fx, fy, fxx, fyy
 
 
-def _run_tanh_ufromh(seed: int) -> ResidualReport:
-    name = "tanh:ufromh"
-    rng = random.Random(f"{seed}:{name}")
+def _run_tanh_ufromh(rng: random.Random) -> ResidualReport:
     _, u_closed = build_tanh(1.0, 0.0)
     u_h = u_from_h(*_tanh_neg_log_field(1.0, 0.0))
     # sampled away from the zero line of tanh(xy), where h = -ln B_s
     # is defined and the derivative cancellations stay benign
     points = ((rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(100))
     worst = _worst_gap(u_h, u_closed, points)
-    return _numeric_report(name, worst, 1e-8,
+    return _numeric_report(worst, 1e-8,
                            {"points": 100, "region": [[0.5, 2.0], [0.5, 2.0]]},
-                           {"C1": "1", "C2": "0"}, seed)
+                           {"C1": "1", "C2": "0"})
 
 
-def _run_ufromh_b0(seed: int) -> ResidualReport:
-    name = "ufromh:b0"
+def _run_ufromh_b0(_rng: random.Random) -> ResidualReport:
     sol = build_family("B0", DEFAULT_PARAMS["B0"])
     u_closed = closed_potential("B0", DEFAULT_PARAMS["B0"]).u
     u_h = u_from_h(*neg_log_field(sol.B))
     # all sample points sit where B_0 = x/(x^2+y^2+1) is positive
     points = ((1.0, 2.0), (2.0, 1.0), (0.5, 0.5), (3.0, 4.0), (1.5, -0.5))
     worst = _worst_gap(u_h, u_closed.eval_float, points)
-    return _numeric_report(name, worst, 1e-10, {"points": 5},
-                           _params_text(DEFAULT_PARAMS["B0"]), seed)
+    return _numeric_report(worst, 1e-10, {"points": 5}, _params_text(DEFAULT_PARAMS["B0"]))
 
 
-def _run_spot_values(seed: int) -> ResidualReport:
+def _run_spot_values(_rng: random.Random) -> ResidualReport:
     # (check, family tag, parameters, exact value of u at the origin)
     spots = [(f"u0(0,0) with C={C}", "B0", {"x0": 0, "y0": 0, "C": C}, Fraction(-8) / C)
              for C in (Fraction(1), Fraction(3, 2), Fraction(7))]
@@ -579,14 +551,13 @@ def _run_spot_values(seed: int) -> ResidualReport:
         val = closed_potential(tag, params).u.eval(0, 0)
         cases.append({"check": check, "verdict": "pass" if val == expected else "fail",
                       "value": str(val)})
-    return _aggregate("spot:potentials", cases, seed)
+    return _aggregate(cases)
 
 
 _DECAY_EXPONENT = {"b0": -4.0, "b1": -6.0, "b2": -8.0, "b3": -10.0}
 
 
-def _run_decay(key: str, seed: int) -> ResidualReport:
-    name = f"decay:{key}"
+def _run_decay(key: str, _rng: random.Random) -> ResidualReport:
     tag = FAMILY_KEYS[key]
     params = DEFAULT_PARAMS[tag]
     u = closed_potential(tag, params).u
@@ -602,12 +573,11 @@ def _run_decay(key: str, seed: int) -> ResidualReport:
     expected = _DECAY_EXPONENT[key]
     worst = max(abs(s - expected) for s in slopes)
     detail = {"slopes": slopes, "expected": expected, "radii": list(radii)}
-    return _numeric_report(name, worst, 0.1, detail, _params_text(params), seed)
+    return _numeric_report(worst, 0.1, detail, _params_text(params))
 
 
-def _run_smooth(key: str, seed: int) -> ResidualReport:
+def _run_smooth(key: str, _rng: random.Random) -> ResidualReport:
     """Exact positivity margin of the potential denominator on a lattice."""
-    name = f"smooth:{key}"
     tag = FAMILY_KEYS[key]
     params = DEFAULT_PARAMS[tag]
     # u = num / den^2 with den = M + C: den^2 >= C^2 exactly where |den| >= C
@@ -624,7 +594,7 @@ def _run_smooth(key: str, seed: int) -> ResidualReport:
         "min_denominator": float(worst**2),
         "bound": float(C * C),
     }
-    return _report(name, "exact", worst >= C, detail, _params_text(params), seed)
+    return _report("exact", worst >= C, detail, _params_text(params))
 
 
 # dim target -> the preset whose poles are the first pole set; every set
@@ -632,9 +602,7 @@ def _run_smooth(key: str, seed: int) -> ResidualReport:
 _DIM_PRESETS = {"b1": "tsarev-1", "b2": "tsarev-2"}
 
 
-def _run_dim(key: str, seed: int) -> ResidualReport:
-    name = f"dim:{key}"
-    rng = random.Random(f"{seed}:{name}")
+def _run_dim(key: str, rng: random.Random) -> ResidualReport:
     preset = PRESETS[_DIM_PRESETS[key]]
     poles = tuple(pole for pole, _ in _roots(preset.family_tag, preset.params))
     fixed = poles[:-2]
@@ -664,12 +632,11 @@ def _run_dim(key: str, seed: int) -> ResidualReport:
             entry["explicit_in_span"] = ok
         entry["verdict"] = "pass" if ok else "fail"
         cases.append(entry)
-    return _aggregate(name, cases, seed)
+    return _aggregate(cases)
 
 
-def _run_fd_order(seed: int) -> ResidualReport:
+def _run_fd_order(_rng: random.Random) -> ResidualReport:
     """The numeric engine's convergence order, measured on an exact pair."""
-    name = "fd:order"
     sol = build_family("B0", DEFAULT_PARAMS["B0"])
     u = closed_potential("B0", DEFAULT_PARAMS["B0"]).u
     r1, r2 = (
@@ -680,21 +647,21 @@ def _run_fd_order(seed: int) -> ResidualReport:
     )
     exponent = math.log2(r1 / r2)
     detail = {"exponent": exponent, "coarse_residual": r1, "fine_residual": r2}
-    return _numeric_report(name, abs(exponent - 4.0), 0.3, detail,
-                           _params_text(DEFAULT_PARAMS["B0"]), seed)
+    return _numeric_report(abs(exponent - 4.0), 0.3, detail,
+                           _params_text(DEFAULT_PARAMS["B0"]))
 
 
 # -- registry ---------------------------------------------------------------
 
 
-def _per_family(prefix: str, body: Callable[[str, int], ResidualReport],
+def _per_family(prefix: str, body: Callable[[str, random.Random], ResidualReport],
                 keys: Iterable[str] = FAMILY_KEYS) -> dict:
     return {f"{prefix}:{k}": partial(body, k) for k in keys}
 
 
-# target name -> body taking the seed, in run order; the family keys among a
-# name's ":"-separated parts are the families it touches
-_TARGETS: dict[str, Callable[[int], ResidualReport]] = {
+# target name -> body taking the target's rng, in run order; the family keys
+# among a name's ":"-separated parts are the families it touches
+_TARGETS: dict[str, Callable[[random.Random], ResidualReport]] = {
     **_per_family("eq12", _run_eq12_family),
     "eq12:harmonic": _run_eq12_harmonic,
     "eq12:counterexample": _run_eq12_counterexample,
@@ -736,15 +703,18 @@ def run_suite(targets: Sequence[str], seed: int,
               ) -> list[ResidualReport]:
     """Run named certification targets with deterministic seeded draws.
 
-    Reports come back sorted by check name; running twice with the same seed
-    gives identical reports.  ``progress``, if given, is called as each
-    target finishes, with its name, its report and its wall time in seconds.
+    Each target draws from its own ``random.Random(f"{seed}:{name}")``, and
+    its report is named ``name`` and carries ``seed``; so a report does not
+    depend on which other targets run, or in what order.  Reports come back
+    sorted by check name.  ``progress``, if given, is called as each target
+    finishes, with its name, its report and its wall time in seconds.
     """
     check_targets(targets)
     reports = []
     for name in targets:
         start = time.perf_counter()
-        reports.append(_TARGETS[name](seed))
+        report = _TARGETS[name](random.Random(f"{seed}:{name}"))
+        reports.append(replace(report, check_name=name, seed=seed))
         if progress is not None:
             progress(name, reports[-1], time.perf_counter() - start)
     return sorted(reports, key=lambda r: r.check_name)

@@ -445,6 +445,26 @@ def test_run_suite_is_deterministic():
     assert [r.check_name for r in a] == sorted(targets)
 
 
+def test_run_suite_names_each_report_after_its_target(monkeypatch):
+    monkeypatch.setitem(verify._TARGETS, "eq12:alias", verify._TARGETS["eq12:b0"])
+    (rep,) = run_suite(["eq12:alias"], seed=5)
+    assert rep.check_name == "eq12:alias"
+    assert rep.seed == 5
+    assert rep.passed
+
+
+def test_run_suite_reports_do_not_depend_on_the_other_targets():
+    targets = ["tanh:ufromh", "dim:b1", "eq12:b0", "potential:tsarev-2:b2",
+               "spot:potentials"]
+
+    def text(rep):
+        return json.dumps(dataclasses.asdict(rep), sort_keys=True, default=str)
+
+    alone = {t: text(rep) for t in targets for (rep,) in [run_suite([t], seed=11)]}
+    together = {r.check_name: text(r) for r in run_suite(targets[::-1], seed=11)}
+    assert together == alone
+
+
 def test_run_suite_rejects_unknown_target():
     with pytest.raises(ValueError):
         run_suite(["nope:never"], seed=0)
