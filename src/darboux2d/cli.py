@@ -131,7 +131,7 @@ def _coerce_params(family: str, raw: dict) -> dict:
 
 
 def _rational_instance(family: str, params: dict):
-    """(RationalSolution, closed potential) for a family key or preset name."""
+    """The RationalSolution of a family key or preset name."""
     if family in PRESETS:
         sol = build_preset(family, **params)
     elif family in FAMILY_KEYS:
@@ -139,7 +139,7 @@ def _rational_instance(family: str, params: dict):
         sol = build_family(tag, {**DEFAULT_PARAMS[tag], **params})
     else:
         raise ValueError(f"unknown family {family!r}")
-    return sol, closed_potential(sol.family_tag, sol.params)
+    return sol
 
 
 def _tanh_constants(params: dict) -> tuple[float, float]:
@@ -181,7 +181,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         u = f"-2*(x^2 + y^2)/({c1}^2*cosh((x*y - {c2})/{c1})^2)"
         lines = [f"B_s = {B}", f"u = {u}"]
     else:
-        sol, closed = _rational_instance(family, _coerce_params(family, raw))
+        sol = _rational_instance(family, _coerce_params(family, raw))
+        closed = closed_potential(sol.family_tag, sol.params)
         head = f"family: {family}" + (f" (preset {sol.preset})" if sol.preset else "")
         fields = {"preset": sol.preset}
         constants = {k: str(v) for k, v in sorted(closed.constants.items())}
@@ -239,7 +240,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     raw = _load_params(args.params)
     if family == "tanh":
         raise ValueError("transform needs a rational family (b0..b3 or a preset)")
-    sol, _ = _rational_instance(family, _coerce_params(family, raw))
+    sol = _rational_instance(family, _coerce_params(family, raw))
     pair = _seed_pair(args.seed_kind, args.degree)
     out = transform_solution(sol.B, pair, R=closed_R(sol.family_tag, sol.params))
     report = check_schrodinger(out.Y_tilde, potential_from_B(sol.B))
@@ -279,8 +280,8 @@ def _row_sampler(family: str, field: str, raw: dict, xs: list[float]) -> Callabl
         x_row = np.array(xs)
         # one array call per row, as `verify.fd_residual` samples the pair
         return np.errstate(all="ignore")(lambda y: f(x_row, y).tolist())
-    sol, closed = _rational_instance(family, _coerce_params(family, raw))
-    target = sol.B if field == "B" else closed.u
+    sol = _rational_instance(family, _coerce_params(family, raw))
+    target = sol.B if field == "B" else closed_potential(sol.family_tag, sol.params).u
     # exact rational values at the (exactly representable) grid points, each
     # rounded once, so the emitted double re-evaluates bit-for-bit
     ps, q = over_one_denominator([Fraction(x) for x in xs])

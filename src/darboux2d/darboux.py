@@ -97,8 +97,8 @@ def transform_solution(
     (`families.closed_R`) certifies its equality with ``R_coeffs(B)`` itself.
     """
     R1, R2 = R_coeffs(B) if R is None else R
-    Yp = RatFn.from_poly(seed.Y)
-    Qp = RatFn.from_poly(seed.Q)
+    Yp = RatFn(seed.Y)
+    Qp = RatFn(seed.Q)
     Y_tilde = R1 * Yp - Yp.diff("y") + R2 * Qp
     W_tilde = B * R1 * Yp - B * Yp.diff("y") + B * R2 * Qp
     Q_tilde = (B.diff("x") - B * R2) * Yp + (B.diff("y") + B * R1) * Qp - B * Qp.diff("y")

@@ -365,9 +365,8 @@ def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatF
         R2 = (ac + bd)/(a^2 + b^2) - 2 (ae + bf)/D,
         R1 = (ad - bc)/(a^2 + b^2) - 2 (be - af)/D.
 
-    The first terms are left out when P' is constant.  D is built as in
-    `_pole_B`, so it is the very factor B's denominator is.  Like
-    `closed_potential`, this is not derived by differentiating B; the
+    D is built as in `_pole_B`, so it is the very factor B's denominator is.
+    Like `closed_potential`, this is not derived by differentiating B; the
     `transform:*` targets certify it against `darboux.R_coeffs(B)`.
     """
     roots, C = _pole_data(family_tag, params)
@@ -377,11 +376,8 @@ def closed_R(family_tag: str, params: Mapping[str, Scalar]) -> tuple[RatFn, RatF
     R1 = RatFn(-2 * (b * e - a * f), D)
     R2 = RatFn(-2 * (a * e + b * f), D)
     c, d = a.diff("x"), b.diff("x")
-    if c or d:
-        g = a * a + b * b
-        R1 = RatFn(a * d - b * c, g) + R1
-        R2 = RatFn(a * c + b * d, g) + R2
-    return R1, R2
+    g = a * a + b * b
+    return RatFn(a * d - b * c, g) + R1, RatFn(a * c + b * d, g) + R2
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +479,7 @@ DEFAULT_PARAMS: dict[str, dict] = {
     "B1": dict(PRESETS["tsarev-1"].params),
     "B2": dict(PRESETS["tsarev-2"].params),
     "B3": {"p1": 1, "q1": 0, "x1": 1, "y1": 1, "C": 1},
-    "tanh": {"C1": 1.0, "C2": 0.0},
+    "tanh": {"C1": 1, "C2": 0},
 }
 
 

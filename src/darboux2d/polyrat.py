@@ -3,7 +3,7 @@
 Everything in this module is exact: a polynomial is an integer polynomial
 over one positive denominator (the representation of FLINT's ``fmpq_poly``),
 and no simplification step ever divides by a polynomial.  A rational
-function is a polynomial times integer powers of shared nonzero factor
+function is one numerator polynomial over powers of shared nonzero factor
 polynomials (:class:`RatFn`); the algebra adds, lowers and lifts exponents
 instead of cross-multiplying, no polynomial gcd is ever taken, equality is
 decided by an exact zero test, and evaluation happens only at explicit
@@ -507,33 +507,35 @@ Factors = tuple[tuple[BiPoly, int], ...]
 
 
 class RatFn:
-    """Rational function ``poly * prod(f ** e)`` over shared factors.
+    """Rational function ``num / prod(f ** -e)`` over shared denominator factors.
 
-    Each factor ``f`` is a nonzero polynomial and each exponent ``e`` a
-    nonzero integer; a negative exponent puts its factor in the denominator.
-    Every denominator in this package is a product of powers of a few
-    polynomials (``B.den``, ``B.num`` and the numerator of ``|grad B|^2``,
-    or ``|P'|^2`` for the pole form of R),
-    so the algebra tracks those powers instead of cross-multiplying:
+    ``num`` is a polynomial; each factor ``f`` is a nonzero polynomial and
+    each exponent ``e`` a negative integer.  Every denominator in this
+    package is a product of powers of a few polynomials (``B.den``,
+    ``B.num`` and the numerator of ``|grad B|^2``, or ``|P'|^2`` for the
+    pole form of R), so the algebra tracks those powers instead of
+    cross-multiplying:
 
       * ``RatFn(num, den)`` makes ``den`` one factor (a unit ``den`` none);
-      * a product adds exponents, and a factor whose exponent reaches zero
-        drops out without any polynomial work;
-      * division turns the divisor's ``poly`` into a factor;
+      * a product adds exponents;
+      * division subtracts the divisor's exponents, makes its ``num`` a
+        factor, and multiplies every factor whose exponent became positive
+        into ``num`` (one whose exponent reaches zero drops out);
       * a sum lifts both operands to the exponent-wise minimum;
       * ``diff`` lowers the exponent of each factor that depends on the
-        variable by one, and the new ``poly`` is ``poly' Phi + poly Psi``
+        variable by one, and the new ``num`` is ``num' Phi + num Psi``
         (the quotient rule, with ``Phi`` and ``Psi`` built from the factors).
 
     Factors match by identity or by equal value.  No cancellation between
-    ``poly`` and the factors is attempted (there is no multivariate gcd here,
-    on purpose).  Since every factor is nonzero, the function is zero exactly
-    when ``poly`` is: that is the exact zero test of :meth:`is_zero` and
-    :func:`ratfn_is_zero`.  ``num`` and ``den`` expand the factors on every
-    read; for ``RatFn(num, den)`` they are the very objects passed in.
+    ``num`` and the factors is attempted (there is no multivariate gcd here,
+    on purpose), so ``f * (RatFn(1) / f)`` keeps ``f``'s denominator in both
+    its ``num`` and its factors.  Since every factor is nonzero, the
+    function is zero exactly when ``num`` is: that is the exact zero test of
+    :meth:`is_zero` and :func:`ratfn_is_zero`.  ``den`` expands the factors
+    on every read; for ``RatFn(num, den)`` it is the very object passed in.
     """
 
-    __slots__ = ("poly", "factors")
+    __slots__ = ("num", "factors")
 
     def __init__(self, num: BiPoly | Scalar, den: BiPoly | Scalar | None = None):
         num = _coerce_poly(num)
@@ -547,35 +549,31 @@ class RatFn:
                 raise TypeError("denominator must be a BiPoly or scalar")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        self.poly = num
+        self.num = num
         self.factors: Factors = () if den == ONE else ((den, -1),)
 
     @classmethod
-    def _of(cls, poly: BiPoly, factors: Iterable[tuple[BiPoly, int]]) -> "RatFn":
+    def _of(cls, num: BiPoly, factors: Iterable[tuple[BiPoly, int]]) -> "RatFn":
         obj = object.__new__(cls)
-        obj.poly = poly
+        obj.num = num
         obj.factors = tuple(factors)
         return obj
 
     @classmethod
     def from_poly(cls, poly: BiPoly | Scalar) -> "RatFn":
+        """``RatFn(poly)``; the benchmark (`perfbench/run.py`) calls it by this name."""
         return cls(poly)
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def num(self) -> BiPoly:
-        """Numerator: ``poly`` times the factors with positive exponents."""
-        return _lift(self.poly, [(f, e) for f, e in self.factors if e > 0])
-
-    @property
     def den(self) -> BiPoly:
-        """Denominator: the factors with negative exponents, expanded."""
-        down = _power_product((f, -e) for f, e in self.factors if e < 0)
+        """Denominator: the factors, expanded."""
+        down = _power_product((f, -e) for f, e in self.factors)
         return ONE if down is None else down
 
     def is_zero(self) -> bool:
-        return not self.poly.terms
+        return not self.num.terms
 
     def __eq__(self, other: object) -> bool:
         other = _coerce_ratfn(other)
@@ -590,9 +588,9 @@ class RatFn:
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.poly.terms:
+        if not other.num.terms:
             return self
-        if not self.poly.terms:
+        if not self.num.terms:
             return other if sign > 0 else -other
         rows = [[f, e, 0] for f, e in self.factors]
         for f, e in other.factors:
@@ -602,10 +600,10 @@ class RatFn:
             else:
                 row[2] = e
         low = [min(ea, eb) for _, ea, eb in rows]
-        mine = _lift(self.poly, [(f, ea - m) for (f, ea, _), m in zip(rows, low)])
-        theirs = _lift(other.poly, [(f, eb - m) for (f, _, eb), m in zip(rows, low)])
-        poly = mine + theirs if sign > 0 else mine - theirs
-        return RatFn._of(poly, [(f, m) for (f, _, _), m in zip(rows, low) if m])
+        mine = _lift(self.num, [(f, ea - m) for (f, ea, _), m in zip(rows, low)])
+        theirs = _lift(other.num, [(f, eb - m) for (f, _, eb), m in zip(rows, low)])
+        num = mine + theirs if sign > 0 else mine - theirs
+        return RatFn._of(num, [(f, m) for (f, _, _), m in zip(rows, low)])
 
     def __add__(self, other) -> "RatFn":
         return self._sum(other, 1)
@@ -613,24 +611,18 @@ class RatFn:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFn":
-        return RatFn._of(-self.poly, self.factors)
+        return RatFn._of(-self.num, self.factors)
 
     def __sub__(self, other) -> "RatFn":
         return self._sum(other, -1)
 
-    def __rsub__(self, other) -> "RatFn":
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> "RatFn":
         if isinstance(other, (int, Fraction)):
-            return RatFn._of(self.poly * other, self.factors)
+            return RatFn._of(self.num * other, self.factors)
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFn._of(self.poly * other.poly, _merge(self.factors, other.factors, 1))
+        return RatFn._of(self.num * other.num, _merge(self.factors, other.factors, 1))
 
     __rmul__ = __mul__
 
@@ -638,31 +630,29 @@ class RatFn:
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.poly.is_zero():
+        if other.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         factors = _merge(self.factors, other.factors, -1)
-        if other.poly.is_constant():
-            return RatFn._of(self.poly * (1 / other.poly.coeff(0, 0)), factors)
-        return RatFn._of(self.poly, _merge(factors, ((other.poly, -1),), 1))
-
-    def __rtruediv__(self, other) -> "RatFn":
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        num = self.num
+        if other.num.is_constant():
+            num = num * (1 / other.num.coeff(0, 0))
+        else:
+            factors = _merge(factors, ((other.num, -1),), 1)
+        num = _lift(num, [(f, e) for f, e in factors if e > 0])
+        return RatFn._of(num, [(f, e) for f, e in factors if e < 0])
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "RatFn":
-        """Quotient rule over the factors, with ``poly`` in two products.
+        """Quotient rule over the factors, with ``num`` in two products.
 
         Over the factors ``f_k`` (exponents ``e_k``) that depend on ``var``,
         ``Phi = prod f_k`` and ``Psi = sum e_k f_k' prod_(j != k) f_j`` are
         built from the factors alone, as ``Psi <- Psi f + Phi e f'`` and
-        then ``Phi <- Phi f``.  The new ``poly`` is ``poly' Phi + poly Psi``,
+        then ``Phi <- Phi f``.  The new ``num`` is ``num' Phi + num Psi``,
         and each of those factors loses one power.
         """
-        top, phi, psi = self.poly.diff(var), None, None
+        top, phi, psi = self.num.diff(var), None, None
         factors = []
         for f, e in self.factors:
             df = f.diff(var)
@@ -670,10 +660,9 @@ class RatFn:
                 df = df * e
                 psi, phi = (df, f) if phi is None else (psi * f + phi * df, phi * f)
                 e -= 1
-            if e:
-                factors.append((f, e))
+            factors.append((f, e))
         if phi is not None:
-            top = top * phi + self.poly * psi
+            top = top * phi + self.num * psi
         return RatFn._of(top, factors)
 
     # -- evaluation --------------------------------------------------------
@@ -691,38 +680,31 @@ class RatFn:
         """Exact values at the points ``(ps[k]/q, y)``: per point an integer
         numerator and a nonzero integer denominator of either sign.
 
-        Each factor's integers (:meth:`BiPoly.eval_row`) go to one side, its
-        row constant to the other side's scale.  A zero denominator raises
-        :class:`PoleEvaluationError` naming the first such point.
+        Each factor's integers (:meth:`BiPoly.eval_row`) go to the
+        denominators, its row constant to the numerators' scale.  A zero
+        denominator raises :class:`PoleEvaluationError` naming the first
+        such point.
         """
-        nums, den_scale = self.poly.eval_row(ps, q, y)
+        nums, den_scale = self.num.eval_row(ps, q, y)
         dens, num_scale = [1] * len(nums), 1
         for f, e in self.factors:
             vals, scale = f.eval_row(ps, q, y)
-            k = abs(e)
-            if e > 0:
-                nums = [n * v**k for n, v in zip(nums, vals)]
-                den_scale *= scale**k
-            else:
-                dens = [d * v**k for d, v in zip(dens, vals)]
-                num_scale *= scale**k
+            dens = [d * v**-e for d, v in zip(dens, vals)]
+            num_scale *= scale**-e
         if 0 in dens:
             pole = Fraction(ps[dens.index(0)], q)
             raise PoleEvaluationError(f"denominator vanishes at ({pole}, {y})")
         return [n * num_scale for n in nums], [d * den_scale for d in dens]
 
     def eval_float(self, x, y):
-        num, den = self.poly.eval_float(x, y), 1.0
+        num, den = self.num.eval_float(x, y), 1.0
         for f, e in self.factors:
             # powers by repeated products, not `**`: a float goes through
             # libm pow and an array through numpy, which round differently
             base = v = f.eval_float(x, y)
-            for _ in range(abs(e) - 1):
+            for _ in range(-e - 1):
                 v = v * base
-            if e > 0:
-                num = num * v
-            else:
-                den = den * v
+            den = den * v
         if isinstance(den, float) and den == 0.0:
             return math.nan
         return num / den  # array path: caller handles infs/nans
@@ -791,7 +773,7 @@ def laplacian(f: BiPoly | RatFn) -> BiPoly | RatFn:
 
 
 def ratfn_is_zero(f: RatFn) -> bool:
-    """Exact zero test: the polynomial part is zero (every factor is not)."""
+    """Exact zero test: the numerator is zero (every factor is not)."""
     return f.is_zero()
 
 

@@ -158,7 +158,7 @@ def check_eq12(B: RatFn) -> ResidualReport:
     13 polynomial products instead of 18 for the two written out in full:
         e1 = B G lap_x - (2 B_y (B B_xy) + B_x (G + B delta)) lap
         e2 = B G lap_y - (2 B_x (B B_xy) + B_y (G - B delta)) lap
-    Each term keeps its written-out factor exponents: same ``poly``, same report.
+    Each term keeps its written-out factor exponents: same ``num``, same report.
     """
     Bx = B.diff("x")
     By = B.diff("y")
@@ -388,13 +388,13 @@ def _run_eq12_harmonic(_rng: random.Random) -> ResidualReport:
     cases = []
     pairs = harmonic_basis(5)
     for k in range(1, 6):
-        rep = check_eq12(RatFn.from_poly(pairs[k].Y))
+        rep = check_eq12(RatFn(pairs[k].Y))
         cases.append(_case_from(rep, degree=k))
     return _aggregate(cases)
 
 
 def _run_eq12_counterexample(_rng: random.Random) -> ResidualReport:
-    inner = check_eq12(RatFn.from_poly(X * X))
+    inner = check_eq12(RatFn(X * X))
     detail = {
         "expected_failure": True,
         "inner_verdict": inner.verdict,
@@ -433,9 +433,9 @@ def _run_potential_tsarev2(rng: random.Random) -> ResidualReport:
     u_exact = potential_from_B(sol.B)
     surds = {k: Fraction(v) for k, v in PRESETS["tsarev-2"].params_float.items()}
     u_surd = closed_potential("B2", surds).u.eval_float
-    points = ((rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(25))
+    points = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(25)]
     worst = _worst_gap(u_exact.eval_float, u_surd, points, relative=True)
-    return _numeric_report(worst, 1e-9, {"points": 25, "comparison": "relative"},
+    return _numeric_report(worst, 1e-9, {"points": len(points), "comparison": "relative"},
                            {"preset": "tsarev-2"})
 
 
@@ -485,10 +485,11 @@ def _run_transform_family(key: str, _rng: random.Random) -> ResidualReport:
 
 
 def _run_tanh_fd(_rng: random.Random) -> ResidualReport:
-    B_s, u = build_tanh(1.0, 0.0)
+    params = DEFAULT_PARAMS["tanh"]
+    B_s, u = build_tanh(**params)
     grid = GridSpec(x_range=(-2.0, 2.0), y_range=(-2.0, 2.0), nx=401, ny=401)
     rep = fd_residual(u, B_s, grid, order=4, tol=1e-6)
-    return replace(rep, params={"C1": "1", "C2": "0"})
+    return replace(rep, params=_params_text(params))
 
 
 def _tanh_neg_log_field(C1: float, C2: float) -> tuple[PointFn, ...]:
@@ -519,15 +520,16 @@ def _tanh_neg_log_field(C1: float, C2: float) -> tuple[PointFn, ...]:
 
 
 def _run_tanh_ufromh(rng: random.Random) -> ResidualReport:
-    _, u_closed = build_tanh(1.0, 0.0)
-    u_h = u_from_h(*_tanh_neg_log_field(1.0, 0.0))
+    params = DEFAULT_PARAMS["tanh"]
+    _, u_closed = build_tanh(**params)
+    u_h = u_from_h(*_tanh_neg_log_field(**params))
     # sampled away from the zero line of tanh(xy), where h = -ln B_s
     # is defined and the derivative cancellations stay benign
-    points = ((rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(100))
+    region = [[0.5, 2.0], [0.5, 2.0]]
+    points = [(rng.uniform(*region[0]), rng.uniform(*region[1])) for _ in range(100)]
     worst = _worst_gap(u_h, u_closed, points)
-    return _numeric_report(worst, 1e-8,
-                           {"points": 100, "region": [[0.5, 2.0], [0.5, 2.0]]},
-                           {"C1": "1", "C2": "0"})
+    return _numeric_report(worst, 1e-8, {"points": len(points), "region": region},
+                           _params_text(params))
 
 
 def _run_ufromh_b0(_rng: random.Random) -> ResidualReport:
@@ -537,7 +539,8 @@ def _run_ufromh_b0(_rng: random.Random) -> ResidualReport:
     # all sample points sit where B_0 = x/(x^2+y^2+1) is positive
     points = ((1.0, 2.0), (2.0, 1.0), (0.5, 0.5), (3.0, 4.0), (1.5, -0.5))
     worst = _worst_gap(u_h, u_closed.eval_float, points)
-    return _numeric_report(worst, 1e-10, {"points": 5}, _params_text(DEFAULT_PARAMS["B0"]))
+    return _numeric_report(worst, 1e-10, {"points": len(points)},
+                           _params_text(DEFAULT_PARAMS["B0"]))
 
 
 def _run_spot_values(_rng: random.Random) -> ResidualReport:
@@ -554,13 +557,13 @@ def _run_spot_values(_rng: random.Random) -> ResidualReport:
     return _aggregate(cases)
 
 
-_DECAY_EXPONENT = {"b0": -4.0, "b1": -6.0, "b2": -8.0, "b3": -10.0}
-
-
 def _run_decay(key: str, _rng: random.Random) -> ResidualReport:
     tag = FAMILY_KEYS[key]
     params = DEFAULT_PARAMS[tag]
     u = closed_potential(tag, params).u
+    # u = num / den^2 with den = M + C, so |u| ~ r^(deg num - 2 deg den)
+    ((den, _),) = u.factors
+    expected = float(u.num.total_degree() - 2 * den.total_degree())
     theta = 0.7
     radii = (1e2, 1e3, 1e4)
     values = [abs(u.eval_float(r * math.cos(theta), r * math.sin(theta)))
@@ -570,7 +573,6 @@ def _run_decay(key: str, _rng: random.Random) -> ResidualReport:
         / (math.log(radii[i + 1]) - math.log(radii[i]))
         for i in range(len(radii) - 1)
     ]
-    expected = _DECAY_EXPONENT[key]
     worst = max(abs(s - expected) for s in slopes)
     detail = {"slopes": slopes, "expected": expected, "radii": list(radii)}
     return _numeric_report(worst, 0.1, detail, _params_text(params))
@@ -583,14 +585,14 @@ def _run_smooth(key: str, _rng: random.Random) -> ResidualReport:
     # u = num / den^2 with den = M + C: den^2 >= C^2 exactly where |den| >= C
     ((den, _),) = closed_potential(tag, params).u.factors
     C = params["C"]
-    # the lattice is ps / 5, 101 points across [-20, 20]; the smallest |den|
-    # of each row is found on its integers over one positive denominator
-    ps = range(-100, 101, 2)
-    rows = (den.eval_row(ps, 5, Fraction(p, 5)) for p in ps)
+    # the lattice is ps / q; the smallest |den| of each row is found on its
+    # integers over one positive denominator
+    ps, q = range(-100, 101, 2), 5
+    rows = (den.eval_row(ps, q, Fraction(p, q)) for p in ps)
     worst = min(Fraction(min(map(abs, nums)), d) for nums, d in rows)
     detail = {
         "residual_terms": 0,
-        "grid": "101x101 on [-20,20]^2",
+        "grid": f"{len(ps)}x{len(ps)} on [{Fraction(ps[0], q)},{Fraction(ps[-1], q)}]^2",
         "min_denominator": float(worst**2),
         "bound": float(C * C),
     }

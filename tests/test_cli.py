@@ -293,7 +293,7 @@ def _value_by_terms(f, x: Fraction, y: Fraction) -> Fraction:
             (Fraction(c, p.denom) * x**i * y**j for (i, j), c in p.terms.items()), Fraction(0)
         )
 
-    value = poly(f.poly)
+    value = poly(f.num)
     for g, e in f.factors:
         value *= poly(g) ** e
     return value

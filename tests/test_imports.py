@@ -1,12 +1,15 @@
 """Every module-level import in src/ and tests/ is used, every module-level
-definition in src/ has a caller there, and every binding the benchmark tracer
-wraps exists.
+definition in src/ has a caller there, every method of a src/ class has a
+caller in src/ or perfbench/, and every binding the benchmark tracer wraps
+exists.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; ``from __future__`` imports are compiler directives and are
 skipped.  A function or class counts as called when src/ reads its name
 outside its own body or lists it in ``__all__``: a helper whose last caller
-went away is deleted with it.
+went away is deleted with it.  A method other than a dunder counts as called
+when src/ or perfbench/ reads its name outside its own body, or when the
+tracer's ``SITES`` names it as a string.
 """
 
 import ast
@@ -55,32 +58,42 @@ def test_unused_import_scan_sees_unused_and_exported_names():
     assert _unused_imports(source) == ["re (line 2)", "osp (line 3)"]
 
 
+def _reads(node: ast.AST, own: set[str]) -> set[str]:
+    """Names and attribute names read in ``node``, except those in ``own``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names - own
+
+
 def _dead_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level functions and classes no module reads outside their body."""
     defined: list[tuple[str, str]] = []
     used: set[str] = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            own = None
+            own = set()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = node.name
-                defined.append((module, own))
+                own = {node.name}
+                defined.append((module, node.name))
             elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 used.update(ast.literal_eval(node.value))
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name)
-                        else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name is not None and name != own:
-                    used.add(name)
+            used |= _reads(node, own)
     return [f"{module}.{name}" for module, name in defined if name not in used]
 
 
+def _sources(top: str) -> dict[str, str]:
+    return {str(p.relative_to(ROOT)): p.read_text()
+            for p in sorted((ROOT / top).rglob("*.py"))}
+
+
 def test_every_module_level_definition_in_src_has_a_caller():
-    sources = {str(p.relative_to(ROOT)): p.read_text()
-               for p in FILES if p.is_relative_to(ROOT / "src")}
-    assert _dead_definitions(sources) == []
+    assert _dead_definitions(_sources("src")) == []
 
 
 def test_dead_definition_scan_sees_uncalled_recursive_and_exported_names():
@@ -95,6 +108,57 @@ def test_dead_definition_scan_sees_uncalled_recursive_and_exported_names():
         "b.py": "import a\nfrom a import helper\nVALUE = helper() + a.Exported.x\n",
     }
     assert _dead_definitions(sources) == ["a.py.lonely", "a.py.orphan"]
+
+
+def _dead_methods(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Methods (dunders aside) of the module-level classes of ``sources``
+    whose name no module of ``sources`` or ``readers`` reads outside the
+    method's own body; a string in a tuple assigned to ``SITES`` names one."""
+    methods: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                used |= _reads(node, set())
+                continue
+            for item in node.body:
+                own = {node.name}
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")):
+                    methods.append((f"{module}.{node.name}.{item.name}", item.name))
+                    own.add(item.name)
+                used |= _reads(item, own)
+    for source in readers.values():
+        tree = ast.parse(source)
+        used |= _reads(tree, set())
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SITES" for t in node.targets
+            ):
+                used.update(sub.value for sub in ast.walk(node.value)
+                            if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+    return [qualified for qualified, name in methods if name not in used]
+
+
+def test_every_method_of_a_src_class_has_a_caller():
+    assert _dead_methods(_sources("src"), _sources("perfbench")) == []
+
+
+def test_dead_method_scan_sees_uncalled_recursive_and_traced_methods():
+    sources = {
+        "a.py": (
+            "class K:\n"
+            "    def __add__(self, o): return self.unused\n"
+            "    def called(self): return 1\n"
+            "    def lonely(self, n): return self.lonely(n - 1) if n else 0\n"
+            "    def orphan(self): pass\n"
+            "    def benched(self): pass\n"
+            "    def traced(self): pass\n"
+            "def f(k): return k.called()\n"
+        ),
+    }
+    readers = {"bench.py": "import a\na.K().benched()\nSITES = ((a.K, 'traced', 'k'),)\n"}
+    assert _dead_methods(sources, readers) == ["a.py.K.lonely", "a.py.K.orphan"]
 
 
 def test_every_binding_the_benchmark_tracer_wraps_exists():

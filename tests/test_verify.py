@@ -142,7 +142,7 @@ def test_guard_eq12_fails_on_squared_denominator(B, counts, monkeypatch):
     # the shared products give the written-out residuals over the same factors
     (residuals,) = seen
     for got, want in zip(residuals, _eq12_written_out(bad), strict=True):
-        assert got.poly == want.poly and got.factors == want.factors
+        assert got.num == want.num and got.factors == want.factors
 
 
 def _b0_re_z2_transform():
@@ -216,6 +216,39 @@ def test_smooth_fails_when_the_denominator_dips_below_C(monkeypatch):
         assert rep.verdict == "fail"
         assert rep.detail["min_denominator"] == 0.25
         assert rep.detail["bound"] == 1.0
+
+
+@pytest.mark.parametrize("key", ["b1", "b2", "b3"])
+def test_guard_smooth_fails_when_the_denominator_is_lowered_by_half_C(monkeypatch, key):
+    # each family has a pole at the origin, a lattice point where M = 0, so
+    # M + C/2 reaches C/2 < C there
+    (rep,) = run_suite([f"smooth:{key}"], 7)
+    assert rep.verdict == "pass"
+    real = verify.closed_potential
+
+    def lowered(tag, params):
+        closed = real(tag, params)
+        ((den, _),) = closed.u.factors
+        low = den - Fraction(params["C"]) / 2
+        return dataclasses.replace(closed, u=RatFn(closed.u.num, low) / low)
+
+    monkeypatch.setattr(verify, "closed_potential", lowered)
+    (rep,) = run_suite([f"smooth:{key}"], 7)
+    assert rep.verdict == "fail"
+    C = Fraction(families.DEFAULT_PARAMS[families.FAMILY_KEYS[key]]["C"])
+    assert rep.detail["min_denominator"] == float((C / 2) ** 2)
+
+
+@pytest.mark.parametrize("key", ["b1", "b2"])
+def test_guard_dim_fails_on_every_case_with_one_vector_fewer(monkeypatch, key):
+    (rep,) = run_suite([f"dim:{key}"], 7)
+    assert rep.verdict == "pass"
+    real = verify.laplace_constrained_numerator
+    monkeypatch.setattr(verify, "laplace_constrained_numerator",
+                        lambda poles: real(poles)[:-1])
+    (rep,) = run_suite([f"dim:{key}"], 7)
+    assert rep.verdict == "fail"
+    assert [(c["dimension"], c["verdict"]) for c in rep.detail["cases"]] == [(1, "fail")] * 4
 
 
 # the first parameter draw of each family at seed 7, fixed so that a change
@@ -409,7 +442,7 @@ def test_guard_decay_fails_on_one_power_of_D(monkeypatch, key):
     def one_power(tag, params):
         closed = real(tag, params)
         ((den, _),) = closed.u.factors
-        return dataclasses.replace(closed, u=RatFn(closed.u.poly, den))
+        return dataclasses.replace(closed, u=RatFn(closed.u.num, den))
 
     monkeypatch.setattr(verify, "closed_potential", one_power)
     (rep,) = run_suite([f"decay:{key}"], 7)
@@ -517,7 +550,7 @@ def test_residual_report_passed_property():
 def _diff_dropping_cross_terms(self, var):
     """``RatFn.diff`` whose ``Psi`` drops ``Phi e f'`` for every factor that
     depends on ``var`` after the first."""
-    top, phi, psi = self.poly.diff(var), None, None
+    top, phi, psi = self.num.diff(var), None, None
     factors = []
     for f, e in self.factors:
         df = f.diff(var)
@@ -527,7 +560,7 @@ def _diff_dropping_cross_terms(self, var):
         if e:
             factors.append((f, e))
     if phi is not None:
-        top = top * phi + self.poly * psi
+        top = top * phi + self.num * psi
     return RatFn._of(top, factors)
 
 
